@@ -9,7 +9,6 @@ the logistic of an uncalibrated margin, and documented as such).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -18,6 +17,8 @@ import numpy as np
 
 from . import reduce as reduce_mod
 from . import tree as tree_mod
+from .linalg import pairwise_sq_dists
+from .tables import write_json
 
 LOGREG = "LOGREG"
 TREE = "TREE"
@@ -142,7 +143,7 @@ def predict_proba(model: TrainedClassifier, X) -> np.ndarray:
         return sigmoid(decision_score(model, X))
     if model.method == SVM_LINEAR:
         return sigmoid(X @ model.weights + model.intercept)  # uncalibrated margin
-    K = np.exp(-model.gamma * _sq_dists(X, model.train_X))
+    K = np.exp(-model.gamma * pairwise_sq_dists(X, model.train_X))
     return sigmoid(K @ model.dual_coef + model.intercept)  # uncalibrated margin
 
 
@@ -159,12 +160,6 @@ def decision_score(model: TrainedClassifier, X) -> np.ndarray:
     for root in model.stages:
         score += model.spec.learning_rate * tree_mod.predict_tree(root, X)
     return score
-
-
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    a2 = np.sum(A * A, axis=1)[:, None]
-    b2 = np.sum(B * B, axis=1)[None, :]
-    return np.maximum(a2 + b2 - 2.0 * (A @ B.T), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +304,7 @@ def _fit_svm_rbf(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray) -> TrainedC
     n = X.shape[0]
     y_signed = 2.0 * y - 1.0
     gamma = spec.gamma if spec.gamma is not None else reduce_mod.default_gamma(X)
-    K = np.exp(-gamma * _sq_dists(X, X))
+    K = np.exp(-gamma * pairwise_sq_dists(X))
     beta = np.zeros(n)
     b = 0.0
     best: tuple[float, np.ndarray, float] | None = None
@@ -402,4 +397,4 @@ def model_summary(model: TrainedClassifier, feature_names: Sequence[str] | None 
 
 
 def write_model_summary(summary: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8", newline="\n")
+    write_json(path, summary)

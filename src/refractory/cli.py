@@ -14,10 +14,9 @@ same config reproduces every output file exactly.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +29,7 @@ from . import metrics
 from . import reduce as reduce_mod
 from . import synth
 from .errors import DependencyError, ParseError
+from .tables import format_row, json_text, write_table, write_text
 
 # The package re-exports the featurize *function*, which shadows the module
 # name on the package object, so pull the callables in directly.
@@ -50,8 +50,6 @@ ROC_PLOT_FILE = "roc_curves.svg"
 RUN_REPORT_FILE = "run_report.json"
 
 NONE_REDUCER = "NONE"
-
-_FLOAT_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -99,64 +97,37 @@ class PipelineConfig:
         return self.n_per_class if self.n_per_class is not None else min(self.n_case, self.n_control)
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+def _items(cast):
+    """Parser of a comma-separated list; blank items are skipped."""
+    return lambda text: tuple(cast(v.strip()) for v in text.split(",") if v.strip())
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
-
-
-def _names(text: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in text.split(",") if v.strip())
-
-
-def _opt_float(text: str) -> float | None:
-    return None if text.lower() in ("", "none") else float(text)
-
-
-def _opt_int(text: str) -> int | None:
-    return None if text.lower() in ("", "none") else int(text)
+def _optional(cast):
+    """Parser that reads '' and 'none' as None."""
+    return lambda text: None if text.lower() in ("", "none") else cast(text)
 
 
 def _pair(text: str) -> tuple[float, float]:
-    values = _floats(text)
+    values = _items(float)(text)
     if len(values) != 2:
         raise ValueError(f"expected two comma-separated numbers, got {text!r}")
     return values  # type: ignore[return-value]
 
 
-_PARSERS = {
-    "seed": int,
-    "workdir": str,
-    "n_case": int,
-    "n_control": int,
-    "n_codes": int,
-    "n_signal_codes": int,
-    "noise_scale": float,
-    "shell_radii": _pair,
-    "n_per_class": _opt_int,
-    "reduce_method": str,
-    "n_components": int,
-    "kernel": str,
-    "gamma": _opt_float,
-    "n_neighbors": int,
-    "n_clusters": int,
-    "restarts": int,
-    "classifier": str,
-    "learning_rate": float,
-    "max_depth": int,
-    "n_stages": int,
-    "l2": float,
-    "max_iter": int,
-    "svm_reg": float,
-    "classifier_gamma": _opt_float,
-    "k_folds": int,
-    "estimators": _names,
-    "alpha_grid": _floats,
-    "depth_grid": _ints,
-    "gamma_grid": _floats,
+# One parser per PipelineConfig field annotation.
+_PARSE_ANNOTATION = {
+    "int": int,
+    "str": str,
+    "float": float,
+    "int | None": _optional(int),
+    "float | None": _optional(float),
+    "tuple[float, float]": _pair,
+    "tuple[int, ...]": _items(int),
+    "tuple[float, ...]": _items(float),
+    "tuple[str, ...]": _items(str),
 }
+
+_PARSERS = {f.name: _PARSE_ANNOTATION[f.type] for f in fields(PipelineConfig)}
 
 
 def load_config(path: str | Path) -> dict[str, str]:
@@ -191,6 +162,12 @@ def build_config(file_values: dict[str, str], overrides: dict | None = None) -> 
     for name in cfg.estimators:
         if name not in classify.CLASSIFIERS:
             raise ValueError(f"unknown estimator {name!r}")
+    # Build what the later stages build, so a bad value fails before any stage runs.
+    _classifier_spec(cfg)
+    if cfg.reduce_method == "KPCA":
+        reduce_mod.KernelSpec(cfg.kernel, cfg.gamma)
+    if not 2 <= cfg.k_folds <= cfg.resolved_n_per_class:
+        raise ValueError(f"k_folds={cfg.k_folds} must be 2 to {cfg.resolved_n_per_class} (per-class count)")
     return cfg
 
 
@@ -335,19 +312,6 @@ def _load_xy(cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
     return embedding.values, y
 
 
-def _write_table(path: Path, header: str, rows: list[tuple]) -> None:
-    lines = [header]
-    for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, float):
-                cells.append(_FLOAT_FMT % value)
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
 def cmd_train(cfg: PipelineConfig, sweep: bool = False) -> dict:
     X, y = _load_xy(cfg)
     if not sweep:
@@ -365,17 +329,17 @@ def cmd_train(cfg: PipelineConfig, sweep: bool = False) -> dict:
     for alpha in cfg.alpha_grid:
         spec = _classifier_spec(cfg, method=classify.GBDT, learning_rate=alpha)
         report = metrics.kfold_cv(X, y, spec, k=cfg.k_folds, seed=cfg.seed)
-        alpha_rows.append((alpha, report.mean, report.std))
+        alpha_rows.append(format_row((alpha, report.mean, report.std)))
         print(f"alpha={alpha:g}: accuracy {report.mean:.4f} +/- {report.std:.4f}")
-    _write_table(_workpath(cfg, ALPHA_SWEEP_FILE), "alpha,mean_accuracy,std_accuracy", alpha_rows)
+    write_table(_workpath(cfg, ALPHA_SWEEP_FILE), "alpha,mean_accuracy,std_accuracy", alpha_rows)
 
     depth_rows = []
     for depth in cfg.depth_grid:
         spec = _classifier_spec(cfg, method=classify.GBDT, max_depth=depth)
         report = metrics.kfold_cv(X, y, spec, k=cfg.k_folds, seed=cfg.seed)
-        depth_rows.append((depth, report.mean, report.std))
+        depth_rows.append(format_row((depth, report.mean, report.std)))
         print(f"depth={depth}: accuracy {report.mean:.4f} +/- {report.std:.4f}")
-    _write_table(_workpath(cfg, DEPTH_SWEEP_FILE), "depth,mean_accuracy,std_accuracy", depth_rows)
+    write_table(_workpath(cfg, DEPTH_SWEEP_FILE), "depth,mean_accuracy,std_accuracy", depth_rows)
 
     # The kernel-width sweep refits the reducer per value, so it is opt-in.
     if cfg.gamma_grid:
@@ -392,9 +356,9 @@ def cmd_train(cfg: PipelineConfig, sweep: bool = False) -> dict:
             emb = reduce_mod.transform(model, matrix)
             spec = _classifier_spec(cfg, method=classify.GBDT)
             report = metrics.kfold_cv(emb.values, y, spec, k=cfg.k_folds, seed=cfg.seed)
-            gamma_rows.append((gamma, report.mean, report.std))
+            gamma_rows.append(format_row((gamma, report.mean, report.std)))
             print(f"gamma={gamma:g}: accuracy {report.mean:.4f} +/- {report.std:.4f}")
-        _write_table(
+        write_table(
             _workpath(cfg, GAMMA_SWEEP_FILE), "gamma,mean_accuracy,std_accuracy", gamma_rows
         )
     return {"alpha_rows": len(alpha_rows), "depth_rows": len(depth_rows)}
@@ -417,7 +381,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> dict:
         area = metrics.auc(curve)
         metrics.write_roc(curve, _workpath(cfg, f"roc_{method}.csv"))
         curves.append((method, curve))
-        table_rows.append((method, area, report.mean))
+        table_rows.append(format_row((method, area, report.mean)))
         if method == cfg.classifier:
             metrics.write_cv_report(report, _workpath(cfg, CV_REPORT_FILE))
             headline = {
@@ -437,10 +401,8 @@ def cmd_evaluate(cfg: PipelineConfig) -> dict:
             "cv_std_accuracy": report.std,
             "auc": None,
         }
-    _write_table(_workpath(cfg, AUC_TABLE_FILE), "method,auc,cv_mean_accuracy", table_rows)
-    _workpath(cfg, ROC_PLOT_FILE).write_text(
-        _roc_plot_svg(curves), encoding="utf-8", newline="\n"
-    )
+    write_table(_workpath(cfg, AUC_TABLE_FILE), "method,auc,cv_mean_accuracy", table_rows)
+    write_text(_workpath(cfg, ROC_PLOT_FILE), _roc_plot_svg(curves))
     return headline
 
 
@@ -525,13 +487,7 @@ class RunReport:
     headline: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "stages": self.stages,
-            "artifacts": self.artifacts,
-            "headline": self.headline,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json_text({key: getattr(self, key) for key in ("config", "stages", "artifacts", "headline")})
 
 
 def cmd_run_all(cfg: PipelineConfig) -> RunReport:
@@ -563,7 +519,7 @@ def cmd_run_all(cfg: PipelineConfig) -> RunReport:
             report.headline = result
         print(f"[{name}] {report.timings[name]:.2f}s")
     out = _workpath(cfg, RUN_REPORT_FILE)
-    out.write_text(report.to_json(), encoding="utf-8", newline="\n")
+    write_text(out, report.to_json())
     print(f"wrote {out}")
     return report
 

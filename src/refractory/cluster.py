@@ -18,6 +18,7 @@ from . import reduce as reduce_mod
 from .featurize import FeatureMatrix
 from .linalg import pairwise_sq_dists, symmetric_eig
 from .metrics import adjusted_mutual_info, adjusted_rand
+from .tables import format_row, write_table
 
 KMEANS = "KMEANS"
 GMM = "GMM"
@@ -366,10 +367,9 @@ def _derived_seed(seed: int, r_idx: int, m_idx: int) -> int:
 
 
 def write_sweep(cells: Sequence[SweepCell], path: str | Path) -> None:
-    lines = [SWEEP_HEADER]
-    for cell in cells:
-        ari = "" if cell.adjusted_rand is None else "%.17g" % cell.adjusted_rand
-        ami = "" if cell.adjusted_mutual_info is None else "%.17g" % cell.adjusted_mutual_info
-        status = cell.status.replace(",", ";").replace("\n", " ")
-        lines.append(f"{cell.reduction},{cell.method},{ari},{ami},{status}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    rows = (
+        (c.reduction, c.method, c.adjusted_rand, c.adjusted_mutual_info,
+         c.status.replace(",", ";").replace("\n", " "))
+        for c in cells
+    )
+    write_table(path, SWEEP_HEADER, map(format_row, rows))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import CapacityError, ParseError
 from .events import EventRecord, EventTable
+from .tables import check_unique_ids, read_table, write_table
 
 CASE = "CASE"
 CONTROL = "CONTROL"
@@ -108,27 +109,18 @@ def sample_cohort(labeled: list[LabeledPatient], n_per_class: int, seed: int) ->
 
 
 def write_cohort(cohort: LabeledCohort, path: str | Path) -> None:
-    lines = [COHORT_HEADER]
-    lines.extend(f"{p.patient_id},{p.index_day},{p.label}" for p in cohort.patients)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_table(path, COHORT_HEADER, (f"{p.patient_id},{p.index_day},{p.label}" for p in cohort.patients))
 
 
 def read_cohort(path: str | Path, sampling_seed: int = 0) -> LabeledCohort:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != COHORT_HEADER:
-        raise ParseError(1, f"expected header {COHORT_HEADER!r}")
+    _, lines = read_table(path, COHORT_HEADER)
     patients = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ParseError(lineno, f"expected 3 fields, got {len(fields)}")
-        pid, day_field, label = fields
+    for lineno, line in enumerate(lines, start=2):
+        pid, day_field, label = line.split(",")
         if label not in (CASE, CONTROL):
             raise ParseError(lineno, f"unknown label {label!r}")
         if not (day_field.isascii() and day_field.isdigit()):
             raise ParseError(lineno, f"index_day must be a non-negative integer, got {day_field!r}")
         patients.append(LabeledPatient(pid, int(day_field), label))
+    check_unique_ids([p.patient_id for p in patients])
     return LabeledCohort(tuple(patients), sampling_seed=sampling_seed)

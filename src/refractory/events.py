@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ParseError
+from .tables import read_table, write_table
 
 # The four kinds a record may carry. AED_FAILURE marks the failure of an
 # anti-epileptic drug course; the other three are ordinary clinical events.
@@ -79,20 +80,10 @@ class EventTable:
 
 def read_events(path: str | Path) -> EventTable:
     """Read an event CSV. Raises ParseError with the offending line number."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != EVENTS_HEADER:
-        raise ParseError(1, f"expected header {EVENTS_HEADER!r}")
+    _, lines = read_table(path, EVENTS_HEADER)
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise ParseError(lineno, f"expected 4 fields, got {len(fields)}")
-        pid, kind, code, day_field = fields
-        if kind not in EVENT_KINDS:
-            raise ParseError(lineno, f"unknown event kind {kind!r}")
+    for lineno, line in enumerate(lines, start=2):
+        pid, kind, code, day_field = line.split(",")
         if not (day_field.isascii() and day_field.isdigit()):
             raise ParseError(lineno, f"day must be a non-negative integer, got {day_field!r}")
         try:
@@ -104,6 +95,4 @@ def read_events(path: str | Path) -> EventTable:
 
 def write_events(table: EventTable, path: str | Path) -> None:
     """Write an event CSV; read_events(write_events(t)) round-trips exactly."""
-    out = [EVENTS_HEADER]
-    out.extend(f"{r.patient_id},{r.event_kind},{r.code},{r.day}" for r in table)
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8", newline="\n")
+    write_table(path, EVENTS_HEADER, (f"{r.patient_id},{r.event_kind},{r.code},{r.day}" for r in table))

@@ -16,6 +16,7 @@ import numpy as np
 from .cohort import CASE, CONTROL, LabeledCohort, PatientTimeline, pre_index_events
 from .errors import ParseError
 from .events import EVENT_KINDS, EventRecord
+from .tables import check_unique_ids, read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -99,30 +100,17 @@ def featurize(
 
 
 def write_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
-    header = ["patient_id"]
+    header, lead = ["patient_id", *matrix.vocabulary.column_names()], matrix.row_ids
     if matrix.labels is not None:
-        header.append("label")
-    header.extend(matrix.vocabulary.column_names())
-    lines = [",".join(header)]
-    for row, pid in enumerate(matrix.row_ids):
-        fields = [pid]
-        if matrix.labels is not None:
-            fields.append(matrix.labels[row])
-        fields.extend(str(int(v)) for v in matrix.values[row])
-        lines.append(",".join(fields))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        header.insert(1, "label")
+        lead = [f"{pid},{label}" for pid, label in zip(matrix.row_ids, matrix.labels)]
+    counts = matrix.values.astype(np.int64, copy=False)
+    lines = (",".join([first, *map(str, row.tolist())]) for first, row in zip(lead, counts))
+    write_table(path, ",".join(header), lines)
 
 
 def read_matrix(path: str | Path) -> FeatureMatrix:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ParseError(1, "empty matrix file")
-    header = lines[0].split(",")
-    if not header or header[0] != "patient_id":
-        raise ParseError(1, "first column must be patient_id")
+    header, lines = read_table(path)
     has_labels = len(header) > 1 and header[1] == "label"
     first_col = 2 if has_labels else 1
     keys = []
@@ -135,18 +123,18 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
 
     row_ids: list[str] = []
     labels: list[str] | None = [] if has_labels else None
-    values = np.zeros((len(lines) - 1, len(keys)), dtype=np.int64)
-    for lineno, line in enumerate(lines[1:], start=2):
+    values = np.zeros((len(lines), len(keys)), dtype=np.int64)
+    for row, line in enumerate(lines):
         fields = line.split(",")
-        if len(fields) != len(header):
-            raise ParseError(lineno, f"expected {len(header)} fields, got {len(fields)}")
         row_ids.append(fields[0])
         if labels is not None:
             if fields[1] not in (CASE, CONTROL):
-                raise ParseError(lineno, f"unknown label {fields[1]!r}")
+                raise ParseError(row + 2, f"unknown label {fields[1]!r}")
             labels.append(fields[1])
-        for col, cell in enumerate(fields[first_col:]):
+        counts = fields[first_col:]
+        for cell in counts:
             if not (cell.isascii() and cell.isdigit()):
-                raise ParseError(lineno, f"counts must be non-negative integers, got {cell!r}")
-            values[lineno - 2, col] = int(cell)
+                raise ParseError(row + 2, f"counts must be non-negative integers, got {cell!r}")
+        values[row] = list(map(int, counts))
+    check_unique_ids(row_ids)
     return FeatureMatrix(row_ids, vocabulary, values, labels)

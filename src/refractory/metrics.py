@@ -9,13 +9,14 @@ statistic with ties counted half).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaln
+
+from .tables import format_row, write_json, write_table
 
 
 @dataclass(frozen=True)
@@ -186,10 +187,8 @@ ROC_HEADER = "threshold,fpr,tpr"
 
 
 def write_roc(curve: RocCurve, path: str | Path) -> None:
-    lines = [ROC_HEADER]
-    for t, f, s in zip(curve.thresholds, curve.fpr, curve.tpr):
-        lines.append("%.17g,%.17g,%.17g" % (t, f, s))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    rows = zip(curve.thresholds.tolist(), curve.fpr.tolist(), curve.tpr.tolist())
+    write_table(path, ROC_HEADER, map(format_row, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +214,12 @@ def stratified_folds(y: Sequence[int], k: int, seed: int) -> list[np.ndarray]:
     y = np.asarray(y)
     if k < 2:
         raise ValueError("k must be at least 2")
+    classes, counts = np.unique(y, return_counts=True)
+    if counts.size and k > counts.min():
+        raise ValueError(f"k={k} exceeds the {counts.min()} members of the smallest class")
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
-    for cls in np.unique(y):
+    for cls in classes:
         idx = np.flatnonzero(y == cls)
         rng.shuffle(idx)
         for pos, sample in enumerate(idx):
@@ -297,12 +299,5 @@ def kfold_cv(
 
 
 def write_cv_report(report: CvReport, path: str | Path) -> None:
-    payload = {
-        "k": report.k,
-        "seed": report.seed,
-        "fold_accuracy": report.fold_accuracy,
-        "mean": report.mean,
-        "std": report.std,
-        "fold_auc": report.fold_auc,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n")
+    keys = ("k", "seed", "fold_accuracy", "mean", "std", "fold_auc")  # the file's key order
+    write_json(path, {key: getattr(report, key) for key in keys})

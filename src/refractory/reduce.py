@@ -18,6 +18,7 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 from .errors import ConnectivityError, ConvergenceError, ParseError
 from .featurize import FeatureMatrix
 from .linalg import pairwise_sq_dists, symmetric_eig
+from .tables import check_unique_ids, format_row, read_table, write_table
 
 LINEAR = "LINEAR"
 RBF = "RBF"
@@ -259,15 +260,13 @@ def _fit_kpca(X: np.ndarray, k: int, kernel: KernelSpec) -> ReducerModel:
 
 
 def _fit_ica(X: np.ndarray, k: int, seed: int) -> ReducerModel:
-    """FastICA by deflation with the logcosh contrast on whitened data."""
-    mean = X.mean(axis=0)
-    centered = X - mean
-    cov = (centered.T @ centered) / X.shape[0]
-    values, vectors = symmetric_eig(cov)
+    """FastICA by deflation with the logcosh contrast on PCA-whitened data."""
+    pca = _fit_pca(X, k)
+    values = pca.eigenvalues
     if values[k - 1] <= max(values[0], 0.0) * _EIG_TOL_RATIO:
         raise ValueError(f"data rank is below k={k}; cannot whiten")
-    whiten = vectors[:, :k] / np.sqrt(values[:k])[None, :]
-    Z = centered @ whiten  # unit-variance, uncorrelated columns
+    whiten = pca.axes / np.sqrt(values)[None, :]
+    Z = (X - pca.mean) @ whiten  # unit-variance, uncorrelated columns
 
     rng = np.random.default_rng(seed)
     W = np.zeros((k, k))
@@ -302,8 +301,8 @@ def _fit_ica(X: np.ndarray, k: int, seed: int) -> ReducerModel:
     return ReducerModel(
         method="ICA",
         n_components=k,
-        eigenvalues=values[:k],
-        mean=mean,
+        eigenvalues=values,
+        mean=pca.mean,
         unmixing=unmixing,
     )
 
@@ -354,38 +353,24 @@ def _fit_isomap(X: np.ndarray, k: int, n_neighbors: int) -> ReducerModel:
     )
 
 
-EMBEDDING_FLOAT_FORMAT = "%.17g"
-
-
 def write_embedding(embedding: Embedding, path: str | Path) -> None:
     """Embedding CSV: patient_id, then c0..c{k-1} at 17 significant digits."""
-    k = embedding.values.shape[1]
-    ids = embedding.row_ids
-    if ids is None:
-        ids = [f"row{i:05d}" for i in range(embedding.values.shape[0])]
-    lines = ["patient_id," + ",".join(f"c{i}" for i in range(k))]
-    for pid, row in zip(ids, embedding.values):
-        lines.append(pid + "," + ",".join(EMBEDDING_FLOAT_FORMAT % v for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    n, k = embedding.values.shape
+    ids = embedding.row_ids if embedding.row_ids is not None else [f"row{i:05d}" for i in range(n)]
+    lines = (format_row([pid, *row]) for pid, row in zip(ids, embedding.values.tolist()))
+    write_table(path, ",".join(["patient_id", *(f"c{i}" for i in range(k))]), lines)
 
 
 def read_embedding(path: str | Path, method: str = "KPCA") -> Embedding:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or not lines[0].startswith("patient_id"):
-        raise ParseError(1, "expected an embedding header starting with patient_id")
-    width = len(lines[0].split(","))
+    header, lines = read_table(path)
     row_ids = []
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != width:
-            raise ParseError(lineno, f"expected {width} fields, got {len(fields)}")
-        row_ids.append(fields[0])
+    values = np.empty((len(lines), len(header) - 1))
+    for row, line in enumerate(lines):
+        pid, *cells = line.split(",")
+        row_ids.append(pid)
         try:
-            rows.append([float(v) for v in fields[1:]])
+            values[row] = [float(v) for v in cells]
         except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from exc
-    return Embedding(np.asarray(rows, dtype=float), method, row_ids)
+            raise ParseError(row + 2, str(exc)) from exc
+    check_unique_ids(row_ids)
+    return Embedding(values, method, row_ids)

@@ -47,18 +47,11 @@ def _entropy_of(p: np.ndarray | float) -> np.ndarray | float:
     return h
 
 
-def _node_impurity(y: np.ndarray, w: np.ndarray, criterion: str) -> float:
-    total = w.sum()
-    if criterion == ENTROPY:
-        return float(_entropy_of((w * y).sum() / total))
-    mean = (w * y).sum() / total
-    return float((w * (y - mean) ** 2).sum() / total)
-
-
 def _best_split(
     X: np.ndarray, y: np.ndarray, w: np.ndarray, criterion: str
 ) -> tuple[int, float, float] | None:
-    """Return (feature, threshold, mean impurity decrease), or None.
+    """Return (feature, threshold, mean impurity decrease), or None when the
+    node is pure (impurity at most _TINY) or no feature has two distinct values.
 
     All features are scanned at once: sort every column, prefix-sum weights
     and weighted targets, and score each between-distinct-values boundary.
@@ -73,6 +66,8 @@ def _best_split(
     else:
         mean = (w * y).sum() / total_w
         parent = float((w * (y - mean) ** 2).sum() / total_w)
+    if parent <= _TINY:
+        return None
 
     order = np.argsort(X, axis=0, kind="stable")
     sv = np.take_along_axis(X, order, axis=0)
@@ -154,9 +149,6 @@ def fit_tree(
             value=value_fn(idx), n_samples=int(idx.size), weight=float(w[idx].sum())
         )
         if depth >= max_depth or idx.size < min_samples_split:
-            return node
-        impurity = _node_impurity(y[idx], w[idx], criterion)
-        if impurity <= _TINY:
             return node
         found = _best_split(X[idx], y[idx], w[idx], criterion)
         if found is None:

@@ -263,3 +263,16 @@ def test_stagewise_subcommands_chain(tmp_path):
     # skipping straight to evaluate works because train is not a dependency
     assert main(["evaluate", "--config", cfg_path]) == 0
     assert (workdir / AUC_TABLE_FILE).exists()
+
+
+@pytest.mark.parametrize(
+    "settings",
+    ["classifier = FOO", "kernel = POLY", "k_folds = 7\nn_case = 4\nn_control = 4", "k_folds = 1"],
+)
+def test_bad_config_fails_before_any_stage(tmp_path, capsys, settings):
+    workdir = tmp_path / "w"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{settings}\nworkdir = {workdir}\n")
+    assert main(["run-all", "--config", str(cfg)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (workdir / EVENTS_FILE).exists()

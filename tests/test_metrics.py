@@ -385,3 +385,9 @@ def test_exhaustive_small_partitions_match_oracles():
     assert len(all_parts) == 52  # Bell number B(5)
     for a, b in itertools.combinations(all_parts, 2):
         assert abs(adjusted_rand(a, b) - _ari_pair_counting(a, b)) < 1e-12
+
+
+def test_stratified_folds_reject_k_above_smallest_class():
+    with pytest.raises(ValueError, match="smallest class"):
+        stratified_folds(np.array([1] * 3 + [0] * 9), 4, seed=0)
+    assert len(stratified_folds(np.array([1] * 4 + [0] * 9), 4, seed=0)) == 4
