@@ -166,6 +166,10 @@ def build_config(file_values: dict[str, str], overrides: dict | None = None) -> 
     _classifier_spec(cfg)
     if cfg.reduce_method == "KPCA":
         reduce_mod.KernelSpec(cfg.kernel, cfg.gamma)
+    n_patients = 2 * cfg.resolved_n_per_class
+    most = n_patients - 1 if cfg.reduce_method in ("KPCA", "ISOMAP") else n_patients
+    if cfg.reduce_method != NONE_REDUCER and cfg.n_components > most:
+        raise ValueError(f"n_components={cfg.n_components} exceeds {most} ({cfg.reduce_method}, {n_patients} patients)")
     if not 2 <= cfg.k_folds <= cfg.resolved_n_per_class:
         raise ValueError(f"k_folds={cfg.k_folds} must be 2 to {cfg.resolved_n_per_class} (per-class count)")
     return cfg
@@ -325,57 +329,45 @@ def cmd_train(cfg: PipelineConfig, sweep: bool = False) -> dict:
 
     if not cfg.alpha_grid or not cfg.depth_grid:
         raise ValueError("alpha_grid and depth_grid must be non-empty for train --sweep")
-    alpha_rows = []
-    for alpha in cfg.alpha_grid:
-        spec = _classifier_spec(cfg, method=classify.GBDT, learning_rate=alpha)
-        report = metrics.kfold_cv(X, y, spec, k=cfg.k_folds, seed=cfg.seed)
-        alpha_rows.append(format_row((alpha, report.mean, report.std)))
-        print(f"alpha={alpha:g}: accuracy {report.mean:.4f} +/- {report.std:.4f}")
-    write_table(_workpath(cfg, ALPHA_SWEEP_FILE), "alpha,mean_accuracy,std_accuracy", alpha_rows)
 
-    depth_rows = []
-    for depth in cfg.depth_grid:
-        spec = _classifier_spec(cfg, method=classify.GBDT, max_depth=depth)
-        report = metrics.kfold_cv(X, y, spec, k=cfg.k_folds, seed=cfg.seed)
-        depth_rows.append(format_row((depth, report.mean, report.std)))
-        print(f"depth={depth}: accuracy {report.mean:.4f} +/- {report.std:.4f}")
-    write_table(_workpath(cfg, DEPTH_SWEEP_FILE), "depth,mean_accuracy,std_accuracy", depth_rows)
-
+    gbdt = _classifier_spec(cfg, method=classify.GBDT)
+    _cv_sweep(cfg, y, "alpha", ALPHA_SWEEP_FILE, cfg.alpha_grid, lambda a: (X, replace(gbdt, learning_rate=a)))
+    _cv_sweep(cfg, y, "depth", DEPTH_SWEEP_FILE, cfg.depth_grid, lambda d: (X, replace(gbdt, max_depth=d)))
     # The kernel-width sweep refits the reducer per value, so it is opt-in.
     if cfg.gamma_grid:
         matrix = read_matrix(_require(cfg, FEATURES_FILE, "featurize"))
-        gamma_rows = []
-        for gamma in cfg.gamma_grid:
-            model = reduce_mod.fit_reducer(
-                "KPCA",
-                matrix,
-                cfg.n_components,
-                kernel=reduce_mod.KernelSpec(reduce_mod.RBF, gamma),
-                seed=cfg.seed,
-            )
-            emb = reduce_mod.transform(model, matrix)
-            spec = _classifier_spec(cfg, method=classify.GBDT)
-            report = metrics.kfold_cv(emb.values, y, spec, k=cfg.k_folds, seed=cfg.seed)
-            gamma_rows.append(format_row((gamma, report.mean, report.std)))
-            print(f"gamma={gamma:g}: accuracy {report.mean:.4f} +/- {report.std:.4f}")
-        write_table(
-            _workpath(cfg, GAMMA_SWEEP_FILE), "gamma,mean_accuracy,std_accuracy", gamma_rows
-        )
-    return {"alpha_rows": len(alpha_rows), "depth_rows": len(depth_rows)}
+
+        def kpca(gamma: float) -> tuple[np.ndarray, classify.ClassifierSpec]:
+            kernel = reduce_mod.KernelSpec(reduce_mod.RBF, gamma)
+            model = reduce_mod.fit_reducer("KPCA", matrix, cfg.n_components, kernel=kernel, seed=cfg.seed)
+            return reduce_mod.transform(model, matrix).values, gbdt
+
+        _cv_sweep(cfg, y, "gamma", GAMMA_SWEEP_FILE, cfg.gamma_grid, kpca)
+    return {"alpha_rows": len(cfg.alpha_grid), "depth_rows": len(cfg.depth_grid)}
+
+
+def _cv_sweep(cfg: PipelineConfig, y: np.ndarray, name: str, file: str, grid, case) -> None:
+    """Write one (value, mean, std) CV accuracy row per value; case(value) gives its (X, spec)."""
+    rows = []
+    for value in grid:
+        X, spec = case(value)
+        report = metrics.kfold_cv(X, y, spec, k=cfg.k_folds, seed=cfg.seed)
+        rows.append(format_row((value, report.mean, report.std)))
+        print(f"{name}={value:g}: accuracy {report.mean:.4f} +/- {report.std:.4f}")
+    write_table(_workpath(cfg, file), f"{name},mean_accuracy,std_accuracy", rows)
+
+
+def _evaluated(cfg: PipelineConfig) -> tuple[str, ...]:
+    """The estimators evaluate cross-validates: the configured ones plus the classifier."""
+    return cfg.estimators + ((cfg.classifier,) if cfg.classifier not in cfg.estimators else ())
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> dict:
     X, y = _load_xy(cfg)
     curves: list[tuple[str, metrics.RocCurve]] = []
     table_rows = []
-    headline: dict = {}
-    for method in cfg.estimators:
-        spec = _classifier_spec(cfg, method=method)
-
-        def fit_predict(train_X, train_y, test_X, fold_seed, spec=spec):
-            model = classify.fit_classifier(replace(spec, seed=fold_seed), train_X, train_y)
-            return classify.predict_proba(model, test_X)
-
+    for method in _evaluated(cfg):
+        fit_predict = metrics.classifier_fit_predict(_classifier_spec(cfg, method=method))
         report, oof = metrics.cross_val_proba(X, y, fit_predict, k=cfg.k_folds, seed=cfg.seed)
         curve = metrics.roc_curve(oof, y)
         area = metrics.auc(curve)
@@ -391,16 +383,6 @@ def cmd_evaluate(cfg: PipelineConfig) -> dict:
                 "auc": area,
             }
         print(f"{method}: AUC {area:.4f}, CV accuracy {report.mean:.4f} +/- {report.std:.4f}")
-    if not headline:
-        spec = _classifier_spec(cfg)
-        report = metrics.kfold_cv(X, y, spec, k=cfg.k_folds, seed=cfg.seed)
-        metrics.write_cv_report(report, _workpath(cfg, CV_REPORT_FILE))
-        headline = {
-            "classifier": cfg.classifier,
-            "cv_mean_accuracy": report.mean,
-            "cv_std_accuracy": report.std,
-            "auc": None,
-        }
     write_table(_workpath(cfg, AUC_TABLE_FILE), "method,auc,cv_mean_accuracy", table_rows)
     write_text(_workpath(cfg, ROC_PLOT_FILE), _roc_plot_svg(curves))
     return headline
@@ -502,7 +484,7 @@ def cmd_run_all(cfg: PipelineConfig) -> RunReport:
         (
             "evaluate",
             lambda: cmd_evaluate(cfg),
-            [f"roc_{m}.csv" for m in cfg.estimators]
+            [f"roc_{m}.csv" for m in _evaluated(cfg)]
             + [AUC_TABLE_FILE, CV_REPORT_FILE, ROC_PLOT_FILE],
         ),
     ]

@@ -237,55 +237,30 @@ def _spectral(X: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
 
 
 def _agglomerative(X: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
-    """Ward linkage via Lance-Williams updates.
+    """Ward linkage by scipy's nearest-neighbour chain, cut at n_clusters.
 
-    Ties in the next-merge choice break on the smallest (i, j) pair, with
-    clusters numbered by creation order, so the dendrogram is deterministic.
+    The trace holds each merge's Ward cost, the rise in within-cluster sum
+    of squares, which is height**2 / 2. Tied heights merge in scipy's order.
+    Clusters are numbered by their smallest member index.
     """
+    # Deferred: scipy.cluster adds import time and memory to every process.
+    from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import squareform
+
     n = X.shape[0]
     k = config.n_clusters
-    cost = np.full((n, n), np.inf)
-    d2 = pairwise_sq_dists(X)
-    iu = np.triu_indices(n, k=1)
-    cost[iu] = 0.5 * d2[iu]
-    sizes = np.ones(n)
-    active = np.ones(n, dtype=bool)
-    parent = np.arange(n)
-    merge_costs: list[float] = []
-
-    for _ in range(n - k):
-        flat = int(np.argmin(cost))
-        i, j = divmod(flat, n)
-        merge_costs.append(float(cost[i, j]))
-        # Lance-Williams update of Ward costs against every other cluster.
-        others = np.flatnonzero(active)
-        others = others[(others != i) & (others != j)]
-        if others.size:
-            d_ai = np.where(others < i, cost[others, i], cost[i, others])
-            d_aj = np.where(others < j, cost[others, j], cost[j, others])
-            s = sizes[others]
-            new = ((sizes[i] + s) * d_ai + (sizes[j] + s) * d_aj - s * cost[i, j]) / (
-                sizes[i] + sizes[j] + s
-            )
-            lo = np.minimum(others, i)
-            hi = np.maximum(others, i)
-            cost[lo, hi] = new
-        sizes[i] += sizes[j]
-        active[j] = False
-        parent[parent == j] = i
-        cost[j, :] = np.inf
-        cost[:, j] = np.inf
-
-    # Relabel surviving clusters 0..k-1 by smallest member index.
-    labels = np.empty(n, dtype=np.int64)
-    next_label = 0
-    seen: dict[int, int] = {}
-    for idx in range(n):
-        root = parent[idx]
-        if root not in seen:
-            seen[root] = next_label
-            next_label += 1
-        labels[idx] = seen[root]
+    if n == k:  # nothing merges, and linkage needs two rows
+        return ClusterAssignment(np.arange(n), 0.0, [])
+    dist = pairwise_sq_dists(X)
+    np.sqrt(dist, out=dist)
+    merges = linkage(squareform(dist, checks=False), method="ward")[: n - k]
+    root = np.arange(2 * n - k)
+    # Walk the merges backwards so every node takes its final cluster's id.
+    for node, (a, b) in reversed(list(enumerate(merges[:, :2].astype(np.int64).tolist(), n))):
+        root[a] = root[b] = root[node]
+    _, first, inverse = np.unique(root[:n], return_index=True, return_inverse=True)
+    labels = np.unique(first[inverse], return_inverse=True)[1]
+    merge_costs = (0.5 * merges[:, 2] ** 2).tolist()
     return ClusterAssignment(labels, float(sum(merge_costs)), merge_costs)
 
 

@@ -119,7 +119,10 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
         if not sep or kind not in EVENT_KINDS or not code:
             raise ParseError(1, f"bad feature column {name!r}")
         keys.append((kind, code))
-    vocabulary = FeatureVocabulary(tuple(keys))
+    try:
+        vocabulary = FeatureVocabulary(tuple(keys))
+    except ValueError as exc:  # columns out of order or repeated
+        raise ParseError(1, str(exc)) from None
 
     row_ids: list[str] = []
     labels: list[str] | None = [] if has_labels else None

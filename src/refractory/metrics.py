@@ -9,13 +9,14 @@ statistic with ties counted half).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
+from . import classify
 from .tables import format_row, write_json, write_table
 
 
@@ -273,6 +274,16 @@ def cross_val_proba(
     return CvReport(k, seed, accs, aucs, mean, std), oof
 
 
+def classifier_fit_predict(spec: classify.ClassifierSpec):
+    """cross_val_proba's fit_predict for a spec: refit per fold with the fold's seed."""
+
+    def fit_predict(train_X, train_y, test_X, fold_seed):
+        model = classify.fit_classifier(replace(spec, seed=fold_seed), train_X, train_y)
+        return classify.predict_proba(model, test_X)
+
+    return fit_predict
+
+
 def kfold_cv(
     X: np.ndarray,
     y: Sequence[int],
@@ -286,15 +297,7 @@ def kfold_cv(
     Each fold trains a fresh model with a fold-specific seed and scores the
     held-out rows; accuracy thresholds the probability at 0.5.
     """
-    from . import classify  # deferred: classify depends on this module's scorers
-
-    def fit_predict(train_X, train_y, test_X, fold_seed):
-        from dataclasses import replace
-
-        model = classify.fit_classifier(replace(spec, seed=fold_seed), train_X, train_y)
-        return classify.predict_proba(model, test_X)
-
-    report, _ = cross_val_proba(X, y, fit_predict, k=k, seed=seed, stratified=stratified)
+    report, _ = cross_val_proba(X, y, classifier_fit_predict(spec), k=k, seed=seed, stratified=stratified)
     return report
 
 

@@ -265,9 +265,31 @@ def test_stagewise_subcommands_chain(tmp_path):
     assert (workdir / AUC_TABLE_FILE).exists()
 
 
+def test_evaluate_adds_a_classifier_missing_from_estimators(tmp_path):
+    workdir = tmp_path / "w"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMOKE + f"classifier = SVM_RBF\nestimators = LOGREG, GBDT\nworkdir = {workdir}\n")
+    assert main(["run-all", "--config", str(cfg)]) == 0
+    rows = [line.split(",") for line in (workdir / AUC_TABLE_FILE).read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["LOGREG", "GBDT", "SVM_RBF"]
+    cv_report = json.loads((workdir / CV_REPORT_FILE).read_text())
+    assert cv_report["mean"] == float(rows[2][2])
+    run_report = json.loads((workdir / RUN_REPORT_FILE).read_text())
+    assert run_report["headline"]["classifier"] == "SVM_RBF"
+    assert run_report["headline"]["auc"] == float(rows[2][1])
+    assert "roc_SVM_RBF.csv" in run_report["artifacts"]
+    assert (workdir / "roc_SVM_RBF.csv").exists()
+
+
 @pytest.mark.parametrize(
     "settings",
-    ["classifier = FOO", "kernel = POLY", "k_folds = 7\nn_case = 4\nn_control = 4", "k_folds = 1"],
+    [
+        "classifier = FOO",
+        "kernel = POLY",
+        "k_folds = 7\nn_case = 4\nn_control = 4",
+        "k_folds = 1",
+        "n_case = 10\nn_control = 10\nn_components = 25",
+    ],
 )
 def test_bad_config_fails_before_any_stage(tmp_path, capsys, settings):
     workdir = tmp_path / "w"

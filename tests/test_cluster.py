@@ -97,6 +97,51 @@ def test_agglomerative_deterministic_without_seed_dependence():
     np.testing.assert_array_equal(a.labels, b.labels)
 
 
+def _greedy_ward(X, k):
+    """Reference Ward: each step merges the pair whose union raises the
+    within-cluster sum of squares least, recomputed from the members."""
+    def sse(members):
+        return float(((X[members] - X[members].mean(axis=0)) ** 2).sum())
+
+    clusters, trace = [[i] for i in range(len(X))], []
+    while len(clusters) > k:
+        rise, i, j = min((sse(a + b) - sse(a) - sse(b), i, j)
+                         for i, a in enumerate(clusters) for j, b in enumerate(clusters) if i < j)
+        trace.append(rise)
+        clusters[i] += clusters.pop(j)
+    labels = np.empty(len(X), dtype=int)
+    for label, members in enumerate(sorted(clusters, key=min)):
+        labels[members] = label
+    return labels, trace
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_agglomerative_matches_brute_force_greedy_ward(k):
+    X = np.random.default_rng(14).normal(size=(40, 3))
+    labels, trace = _greedy_ward(X, k)
+    out = fit_clusters(ClusterConfig(method=AGGLOMERATIVE, n_clusters=k), X)
+    np.testing.assert_array_equal(out.labels, labels)
+    np.testing.assert_allclose(out.trace, trace, rtol=1e-9)
+    assert out.objective == pytest.approx(sum(trace), rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_agglomerative_tied_heights_still_give_k_clusters(k):
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    out = fit_clusters(ClusterConfig(method=AGGLOMERATIVE, n_clusters=k), square)
+    assert sorted(set(out.labels.tolist())) == list(range(k))
+    assert out.labels[0] == 0
+
+
+def test_agglomerative_without_merges():
+    X = np.random.default_rng(15).normal(size=(5, 2))
+    out = fit_clusters(ClusterConfig(method=AGGLOMERATIVE, n_clusters=5), X)
+    np.testing.assert_array_equal(out.labels, np.arange(5))
+    assert out.trace == []
+    one = fit_clusters(ClusterConfig(method=AGGLOMERATIVE, n_clusters=1), np.ones((1, 3)))
+    np.testing.assert_array_equal(one.labels, [0])
+
+
 @pytest.mark.parametrize("method", CLUSTER_METHODS)
 def test_row_permutation_equivalent_partition(method):
     X, _ = _three_blobs(n_per=10, seed=10)

@@ -46,6 +46,9 @@ def _defect(name, defect):
     line = 3
     if defect == "header":
         header, line = header.replace("patient_id", "id"), 1
+    elif defect in ("column order", "column repeat"):  # features.csv only
+        swap = "DRUG:R2,DRUG:R1" if defect == "column order" else "DRUG:R1,DRUG:R1"
+        header, line = header.replace("DRUG:R1,DRUG:R2", swap), 1
     elif defect == "short":
         rows[1] = rows[1].rsplit(",", 1)[0]
     elif defect == "cell":
@@ -62,7 +65,8 @@ def _defect(name, defect):
         for name in READERS
         for defect in ("header", "short", "cell", "repeat")
         if (name, defect) != ("events", "repeat")
-    ],
+    ]
+    + [("matrix", "column order"), ("matrix", "column repeat")],
 )
 def test_reader_rejects_at_line(tmp_path, name, defect):
     text, line = _defect(name, defect)
