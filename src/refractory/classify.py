@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -122,7 +122,9 @@ def fit_classifier(spec: ClassifierSpec, X, y) -> TrainedClassifier:
     if spec.method == GBDT:
         return gbdt_fit(spec, X, y)
     if spec.method == SVM_LINEAR:
-        return _fit_svm_linear(spec, X, y)
+        # The linear Gram X X^T is applied as two products and never formed.
+        beta, b = _pegasos(spec, lambda v: X @ (X.T @ v), y)
+        return TrainedClassifier(SVM_LINEAR, spec, X.shape[1], weights=X.T @ beta, intercept=b)
     return _fit_svm_rbf(spec, X, y)
 
 
@@ -130,8 +132,8 @@ def predict_proba(model: TrainedClassifier, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected (n, {model.n_features}) input, got {X.shape}")
-    if model.method == LOGREG:
-        return sigmoid(X @ model.weights + model.intercept)
+    if model.method in (LOGREG, SVM_LINEAR):
+        return sigmoid(X @ model.weights + model.intercept)  # SVM_LINEAR: uncalibrated margin
     if model.method == TREE:
         return tree_mod.predict_tree(model.root, X)
     if model.method == ADABOOST:
@@ -141,8 +143,6 @@ def predict_proba(model: TrainedClassifier, X) -> np.ndarray:
         return sigmoid(margin)  # uncalibrated vote margin through the logistic link
     if model.method == GBDT:
         return sigmoid(decision_score(model, X))
-    if model.method == SVM_LINEAR:
-        return sigmoid(X @ model.weights + model.intercept)  # uncalibrated margin
     K = np.exp(-model.gamma * pairwise_sq_dists(X, model.train_X))
     return sigmoid(K @ model.dual_coef + model.intercept)  # uncalibrated margin
 
@@ -273,62 +273,46 @@ def gbdt_fit(spec: ClassifierSpec, X, y) -> TrainedClassifier:
 # SVMs by deterministic full-batch subgradient descent
 
 
-def _fit_svm_linear(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray) -> TrainedClassifier:
-    n, d = X.shape
-    y_signed = 2.0 * y - 1.0
-    w = np.zeros(d)
-    b = 0.0
-    best: tuple[float, np.ndarray, float] | None = None
-    for t in range(1, spec.max_iter + 1):
-        margin = y_signed * (X @ w + b)
-        viol = margin < 1.0
-        objective = 0.5 * spec.svm_reg * float(w @ w) + float(np.mean(np.maximum(0.0, 1.0 - margin)))
-        if best is None or objective < best[0]:
-            best = (objective, w.copy(), b)
-        eta = 1.0 / (spec.svm_reg * t)
-        grad_w = spec.svm_reg * w - (y_signed[viol] @ X[viol]) / n
-        grad_b = -float(y_signed[viol].sum()) / n
-        w = w - eta * grad_w
-        b = b - eta * grad_b
-    objective = 0.5 * spec.svm_reg * float(w @ w) + float(
-        np.mean(np.maximum(0.0, 1.0 - y_signed * (X @ w + b)))
-    )
-    if objective < best[0]:
-        best = (objective, w, b)
-    return TrainedClassifier(SVM_LINEAR, spec, d, weights=best[1], intercept=float(best[2]))
+def _pegasos(
+    spec: ClassifierSpec, gram_times: Callable[[np.ndarray], np.ndarray], y: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Hinge + L2 on dual weights beta over the training rows, where the
+    decision values are K beta + b and gram_times(v) returns K v.
 
-
-def _fit_svm_rbf(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray) -> TrainedClassifier:
-    """Hinge + L2 in the RBF feature space, parameterized by dual weights on
-    the training rows; the regularizer shrink acts directly on the weights."""
-    n = X.shape[0]
+    Pegasos' eta = 1 / (svm_reg * t) step: the regularizer shrinks beta and
+    each margin violator adds eta * y_i / n to its own weight. The objective
+    is evaluated at all max_iter + 1 iterates, and the best one is returned.
+    """
+    n = y.shape[0]
     y_signed = 2.0 * y - 1.0
-    gamma = spec.gamma if spec.gamma is not None else reduce_mod.default_gamma(X)
-    K = np.exp(-gamma * pairwise_sq_dists(X))
     beta = np.zeros(n)
     b = 0.0
     best: tuple[float, np.ndarray, float] | None = None
-    for t in range(1, spec.max_iter + 1):
-        f = K @ beta + b
-        margin = y_signed * f
-        viol = margin < 1.0
-        objective = 0.5 * spec.svm_reg * float(beta @ (K @ beta)) + float(
+    for t in range(1, spec.max_iter + 2):
+        k_beta = gram_times(beta)
+        margin = y_signed * (k_beta + b)
+        objective = 0.5 * spec.svm_reg * float(beta @ k_beta) + float(
             np.mean(np.maximum(0.0, 1.0 - margin))
         )
         if best is None or objective < best[0]:
-            best = (objective, beta.copy(), b)
+            best = (objective, beta, b)
+        if t > spec.max_iter:
+            break
+        viol = margin < 1.0
         eta = 1.0 / (spec.svm_reg * t)
-        beta = (1.0 - eta * spec.svm_reg) * beta
+        beta = (1.0 - eta * spec.svm_reg) * beta  # a new array: best keeps its own
         beta[viol] += eta * y_signed[viol] / n
         b = b + eta * float(y_signed[viol].sum()) / n
-    f = K @ beta + b
-    objective = 0.5 * spec.svm_reg * float(beta @ (K @ beta)) + float(
-        np.mean(np.maximum(0.0, 1.0 - y_signed * f))
-    )
-    if objective < best[0]:
-        best = (objective, beta, b)
+    return best[1], best[2]
+
+
+def _fit_svm_rbf(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray) -> TrainedClassifier:
+    """The shared loop on the dense RBF Gram of the training rows."""
+    gamma = spec.gamma if spec.gamma is not None else reduce_mod.default_gamma(X)
+    K = np.exp(-gamma * pairwise_sq_dists(X))
+    beta, b = _pegasos(spec, lambda v: K @ v, y)
     return TrainedClassifier(
-        SVM_RBF, spec, X.shape[1], train_X=X.copy(), dual_coef=best[1], intercept=float(best[2]), gamma=gamma
+        SVM_RBF, spec, X.shape[1], train_X=X.copy(), dual_coef=beta, intercept=b, gamma=gamma
     )
 
 

@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from . import reduce as reduce_mod
-from .featurize import FeatureMatrix
 from .linalg import pairwise_sq_dists, symmetric_eig
 from .metrics import adjusted_mutual_info, adjusted_rand
 from .tables import format_row, write_table
@@ -32,6 +31,7 @@ SWEEP_REDUCTIONS = ("none", "PCA", "ICA", "KPCA", "ISOMAP")
 _GMM_VAR_FLOOR = 1e-6
 _GMM_TOL = 1e-6
 _GMM_MAX_ITER = 200
+_LLOYD_MAX_ITER = 300
 
 
 @dataclass(frozen=True)
@@ -40,16 +40,14 @@ class ClusterConfig:
     n_clusters: int = 2
     seed: int = 0
     restarts: int = 10
-    max_iter: int = 300
-    affinity_gamma: float | None = None  # SPECTRAL; None derives from the data
 
     def __post_init__(self):
         if self.method not in CLUSTER_METHODS:
             raise ValueError(f"unknown clustering method {self.method!r}")
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be positive")
-        if self.restarts < 1 or self.max_iter < 1:
-            raise ValueError("restarts and max_iter must be positive")
+        if self.restarts < 1:
+            raise ValueError("restarts must be positive")
 
 
 @dataclass
@@ -67,8 +65,6 @@ class ClusterAssignment:
 
 
 def fit_clusters(config: ClusterConfig, X) -> ClusterAssignment:
-    if isinstance(X, FeatureMatrix):
-        X = X.values
     data = np.asarray(X, dtype=float)
     if data.ndim != 2:
         raise ValueError("expected a 2-dimensional matrix")
@@ -108,12 +104,12 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _lloyd(
-    X: np.ndarray, centers: np.ndarray, max_iter: int
+    X: np.ndarray, centers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     k = centers.shape[0]
     labels = np.full(X.shape[0], -1)
     trace: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_MAX_ITER):
         d2 = pairwise_sq_dists(X, centers)
         new_labels = d2.argmin(axis=1)
         inertia = float(d2[np.arange(X.shape[0]), new_labels].sum())
@@ -145,7 +141,7 @@ def _kmeans(
     for restart in range(config.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, restart)))
         centers = _kmeans_pp_init(X, config.n_clusters, rng)
-        labels, centers, inertia, trace = _lloyd(X, centers, config.max_iter)
+        labels, centers, inertia, trace = _lloyd(X, centers)
         if best is None or inertia < best[2]:
             best = (labels, centers, inertia, trace)
     return best
@@ -215,10 +211,7 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 
 def _spectral(X: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
-    gamma = config.affinity_gamma
-    if gamma is None:
-        gamma = reduce_mod.default_gamma(X)
-    affinity = np.exp(-gamma * pairwise_sq_dists(X))
+    affinity = np.exp(-reduce_mod.default_gamma(X) * pairwise_sq_dists(X))
     np.fill_diagonal(affinity, 0.0)
     degrees = affinity.sum(axis=1)
     degrees = np.maximum(degrees, 1e-300)
@@ -296,8 +289,6 @@ def clustering_sweep(
     A failing cell (for example a reducer that cannot converge) is recorded
     with its error message instead of aborting the grid.
     """
-    if isinstance(X, FeatureMatrix):
-        X = X.values
     data = np.asarray(X, dtype=float)
     y = np.asarray(labels)
     if y.shape[0] != data.shape[0]:

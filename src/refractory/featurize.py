@@ -74,7 +74,7 @@ class FeatureMatrix:
 
 def featurize(
     cohort: LabeledCohort,
-    timelines: Sequence[PatientTimeline] | Mapping[str, PatientTimeline],
+    timelines: Mapping[str, PatientTimeline],
     vocabulary: FeatureVocabulary,
 ) -> FeatureMatrix:
     """Count pre-index events per cohort patient against a fixed vocabulary.
@@ -82,14 +82,10 @@ def featurize(
     Events on or after the index day never reach the matrix; events whose
     (kind, code) is outside the vocabulary are dropped.
     """
-    if isinstance(timelines, Mapping):
-        by_id = dict(timelines)
-    else:
-        by_id = {t.patient_id: t for t in timelines}
     index = vocabulary.index()
     values = np.zeros((len(cohort.patients), len(vocabulary)), dtype=np.int64)
     for row, patient in enumerate(cohort.patients):
-        timeline = by_id.get(patient.patient_id)
+        timeline = timelines.get(patient.patient_id)
         if timeline is None:
             raise ValueError(f"no timeline for patient {patient.patient_id!r}")
         for event in pre_index_events(timeline, patient.index_day):

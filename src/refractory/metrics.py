@@ -228,22 +228,12 @@ def stratified_folds(y: Sequence[int], k: int, seed: int) -> list[np.ndarray]:
     return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
 
 
-def plain_folds(n: int, k: int, seed: int) -> list[np.ndarray]:
-    """Unstratified alternative: one shuffled deal of all indices."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    rng = np.random.default_rng(seed)
-    idx = rng.permutation(n)
-    return [np.sort(idx[i::k]) for i in range(k)]
-
-
 def cross_val_proba(
     X: np.ndarray,
     y: Sequence[int],
     fit_predict: Callable[[np.ndarray, np.ndarray, np.ndarray, int], np.ndarray],
     k: int = 7,
     seed: int = 0,
-    stratified: bool = True,
 ) -> tuple[CvReport, np.ndarray]:
     """Run k-fold CV and return the report plus out-of-fold scores.
 
@@ -254,7 +244,7 @@ def cross_val_proba(
     y = np.asarray(y)
     if X.shape[0] != y.shape[0]:
         raise ValueError("labels length does not match the matrix")
-    folds = stratified_folds(y, k, seed) if stratified else plain_folds(len(y), k, seed)
+    folds = stratified_folds(y, k, seed)
     fold_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(k)]
 
     oof = np.full(len(y), np.nan)
@@ -290,14 +280,13 @@ def kfold_cv(
     spec,
     k: int = 7,
     seed: int = 0,
-    stratified: bool = True,
 ) -> CvReport:
-    """Stratified (by default) k-fold CV of a classifier spec.
+    """Stratified k-fold CV of a classifier spec.
 
     Each fold trains a fresh model with a fold-specific seed and scores the
     held-out rows; accuracy thresholds the probability at 0.5.
     """
-    report, _ = cross_val_proba(X, y, classifier_fit_predict(spec), k=k, seed=seed, stratified=stratified)
+    report, _ = cross_val_proba(X, y, classifier_fit_predict(spec), k=k, seed=seed)
     return report
 
 

@@ -139,7 +139,7 @@ def _validate_fit_input(X: np.ndarray, k: int) -> None:
 def fit_reducer(
     method: str,
     X,
-    k: int | None = None,
+    k: int,
     *,
     kernel: KernelSpec | None = None,
     n_neighbors: int = 10,
@@ -147,15 +147,13 @@ def fit_reducer(
 ) -> ReducerModel:
     """Fit one of PCA, KPCA, ICA, ISOMAP with k output components.
 
-    k defaults to min(50, n_rows - 1) for the kernel methods and is capped by
+    k is capped by n_rows - 1 for the kernel methods and by
     min(n_rows, n_features) for PCA/ICA. KPCA drops components whose
     eigenvalue is numerically zero and reports the shrunken count in the
     model's n_components.
     """
     data, row_ids = _as_array(X)
     n, d = data.shape if data.ndim == 2 else (0, 0)
-    if k is None:
-        k = min(50, n - 1) if n > 1 else 1
     _validate_fit_input(data, k)
 
     if method == "PCA":
@@ -214,6 +212,15 @@ def transform(model: ReducerModel, X) -> Embedding:
     return Embedding(np.asarray(values, dtype=float), model.method, row_ids)
 
 
+def _leading_positive(values: np.ndarray, k: int, error: str) -> int:
+    """How many of the first k descending eigenvalues lie above
+    max(values[0], 0) * _EIG_TOL_RATIO; raises ValueError(error) when none."""
+    keep = int(np.count_nonzero(values[:k] > max(values[0], 0.0) * _EIG_TOL_RATIO))
+    if keep == 0:
+        raise ValueError(error)
+    return keep
+
+
 def _fit_pca(X: np.ndarray, k: int) -> ReducerModel:
     mean = X.mean(axis=0)
     centered = X - mean
@@ -237,13 +244,7 @@ def _fit_kpca(X: np.ndarray, k: int, kernel: KernelSpec) -> ReducerModel:
     grand_mean = float(K.mean())
     centered = center_kernel(K)
     values, vectors = symmetric_eig(centered)
-
-    keep = min(k, len(values))
-    tol = max(values[0], 0.0) * _EIG_TOL_RATIO if len(values) else 0.0
-    while keep > 0 and values[keep - 1] <= tol:
-        keep -= 1
-    if keep == 0:
-        raise ValueError("kernel matrix has no positive eigenvalues; nothing to embed")
+    keep = _leading_positive(values, k, "kernel matrix has no positive eigenvalues; nothing to embed")
     top = values[:keep]
     dual_axes = vectors[:, :keep] / np.sqrt(top)[None, :]
     return ReducerModel(
@@ -336,12 +337,7 @@ def _fit_isomap(X: np.ndarray, k: int, n_neighbors: int) -> ReducerModel:
     # Classical MDS on the squared geodesics.
     B = -0.5 * center_kernel(geo**2)
     values, vectors = symmetric_eig(B)
-    keep = min(k, len(values))
-    tol = max(values[0], 0.0) * _EIG_TOL_RATIO
-    while keep > 0 and values[keep - 1] <= tol:
-        keep -= 1
-    if keep == 0:
-        raise ValueError("geodesic Gram matrix has no positive eigenvalues")
+    keep = _leading_positive(values, k, "geodesic Gram matrix has no positive eigenvalues")
     embedding = vectors[:, :keep] * np.sqrt(values[:keep])[None, :]
     return ReducerModel(
         method="ISOMAP",

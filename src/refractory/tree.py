@@ -113,7 +113,6 @@ def fit_tree(
     *,
     criterion: str = ENTROPY,
     max_depth: int = 5,
-    min_samples_split: int = 2,
     sample_weight: np.ndarray | None = None,
     leaf_value: Callable[[np.ndarray], float] | None = None,
 ) -> TreeNode:
@@ -148,7 +147,7 @@ def fit_tree(
         node = TreeNode(
             value=value_fn(idx), n_samples=int(idx.size), weight=float(w[idx].sum())
         )
-        if depth >= max_depth or idx.size < min_samples_split:
+        if depth >= max_depth:
             return node
         found = _best_split(X[idx], y[idx], w[idx], criterion)
         if found is None:

@@ -23,6 +23,7 @@ from refractory.classify import (
     sigmoid,
     write_model_summary,
 )
+from refractory.linalg import pairwise_sq_dists
 
 
 def _xor(n_copies=20):
@@ -177,6 +178,69 @@ def test_svm_rbf_derives_gamma_when_unset():
     model = fit_classifier(ClassifierSpec(method=SVM_RBF, max_iter=500), X, y)
     assert model.gamma is not None and model.gamma > 0
 
+
+
+def _noisy_linear(seed, n=80, d=6):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    y = (X @ rng.normal(size=d) + rng.normal(scale=1.5, size=n) > 0).astype(float)
+    return X, y
+
+
+def _primal_pegasos(X, y, reg, max_iter):
+    # Reference: Pegasos on the primal weights w, keeping the best of the
+    # max_iter + 1 iterates by objective.
+    n, d = X.shape
+    ys = 2.0 * y - 1.0
+    w, b, best = np.zeros(d), 0.0, None
+    for t in range(1, max_iter + 2):
+        margin = ys * (X @ w + b)
+        objective = 0.5 * reg * float(w @ w) + float(np.mean(np.maximum(0.0, 1.0 - margin)))
+        if best is None or objective < best[0]:
+            best = (objective, w, b)
+        viol, eta = margin < 1.0, 1.0 / (reg * t)
+        w = w - eta * (reg * w - ys[viol] @ X[viol] / n)
+        b = b + eta * float(ys[viol].sum()) / n
+    return best[1], best[2]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_svm_linear_matches_primal_pegasos(seed):
+    X, y = _noisy_linear(seed)
+    model = fit_classifier(ClassifierSpec(method=SVM_LINEAR, max_iter=300), X, y)
+    w, b = _primal_pegasos(X, y, 0.01, 300)
+    np.testing.assert_allclose(X @ model.weights + model.intercept, X @ w + b, rtol=0.0, atol=1e-9)
+
+
+# At seed 0 and 30 steps the last iterate has the lowest objective.
+@pytest.mark.parametrize("seed, max_iter", [(0, 30), (0, 300), (1, 300), (2, 300)])
+def test_svm_rbf_bit_equal_to_two_product_loop(seed, max_iter):
+    # The loop as written before the SVMs shared one: K beta formed twice per
+    # step, and the last iterate scored after the loop.
+    X, y = _noisy_linear(seed)
+    spec = ClassifierSpec(method=SVM_RBF, max_iter=max_iter)
+    model = fit_classifier(spec, X, y)
+    n, ys = len(y), 2.0 * y - 1.0
+    K = np.exp(-model.gamma * pairwise_sq_dists(X))
+    beta, b, best = np.zeros(n), 0.0, None
+    for t in range(1, spec.max_iter + 1):
+        margin = ys * (K @ beta + b)
+        viol = margin < 1.0
+        hinge = float(np.mean(np.maximum(0.0, 1.0 - margin)))
+        objective = 0.5 * spec.svm_reg * float(beta @ (K @ beta)) + hinge
+        if best is None or objective < best[0]:
+            best = (objective, beta.copy(), b)
+        eta = 1.0 / (spec.svm_reg * t)
+        beta = (1.0 - eta * spec.svm_reg) * beta
+        beta[viol] += eta * ys[viol] / n
+        b = b + eta * float(ys[viol].sum()) / n
+    margin = ys * (K @ beta + b)
+    hinge = float(np.mean(np.maximum(0.0, 1.0 - margin)))
+    objective = 0.5 * spec.svm_reg * float(beta @ (K @ beta)) + hinge
+    if objective < best[0]:
+        best = (objective, beta, b)
+    np.testing.assert_array_equal(model.dual_coef, best[1])
+    assert model.intercept == best[2]
 
 @pytest.mark.parametrize("method", CLASSIFIERS)
 def test_probabilities_in_unit_interval(method):

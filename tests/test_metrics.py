@@ -17,7 +17,6 @@ from refractory.metrics import (
     expected_mutual_info,
     kfold_cv,
     mutual_info,
-    plain_folds,
     roc_curve,
     stratified_folds,
     write_cv_report,
@@ -293,17 +292,9 @@ def test_stratified_folds_deterministic_and_seed_sensitive():
     assert any(not np.array_equal(fa, fc) for fa, fc in zip(a, c))
 
 
-def test_plain_folds_partition():
-    folds = plain_folds(20, 3, seed=0)
-    merged = np.sort(np.concatenate(folds))
-    np.testing.assert_array_equal(merged, np.arange(20))
-
-
 def test_folds_reject_k_below_two():
     with pytest.raises(ValueError):
         stratified_folds(np.array([0, 1] * 5), 1, seed=0)
-    with pytest.raises(ValueError):
-        plain_folds(10, 1, seed=0)
 
 
 def test_kfold_cv_separable_data_perfect():

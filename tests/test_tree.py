@@ -84,13 +84,6 @@ def test_pure_node_stops_early():
     assert root.value == 1.0
 
 
-def test_min_samples_split_blocks_division():
-    X = np.arange(4, dtype=float).reshape(-1, 1)
-    y = np.array([0.0, 0.0, 1.0, 1.0])
-    root = fit_tree(X, y, max_depth=3, criterion=ENTROPY, min_samples_split=5)
-    assert root.feature is None
-
-
 def test_depth_never_exceeds_cap():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(200, 4))
