@@ -154,6 +154,8 @@ def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> RocCurve:
     y = np.asarray(labels)
     if scores.shape != y.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be 1-d and the same length")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     pos = int((y == 1).sum())
     neg = int(y.size - pos)
     if pos == 0 or neg == 0:

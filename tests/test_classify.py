@@ -253,6 +253,20 @@ def test_probabilities_in_unit_interval(method):
 
 
 @pytest.mark.parametrize("method", CLASSIFIERS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_predict_proba_rejects_non_finite_rows(method, bad):
+    X, y = _blobs(seed=11, gap=2.0)
+    model = fit_classifier(ClassifierSpec(method=method, n_stages=10, max_iter=300), X, y)
+    X_bad = X[:3].copy()
+    X_bad[1, 0] = bad
+    with pytest.raises(ValueError):
+        predict_proba(model, X_bad)
+    if method == GBDT:
+        with pytest.raises(ValueError):
+            decision_score(model, X_bad)
+
+
+@pytest.mark.parametrize("method", CLASSIFIERS)
 def test_fit_deterministic(method):
     X, y = _blobs(seed=12, gap=2.0)
     spec = ClassifierSpec(method=method, n_stages=10, max_iter=300, seed=3)

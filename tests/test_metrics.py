@@ -245,6 +245,12 @@ def test_roc_requires_both_classes():
         roc_curve([0.1, 0.2], [1, 1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_roc_rejects_non_finite_scores(bad):
+    with pytest.raises(ValueError):
+        roc_curve([0.9, bad, 0.2, 0.1], [1, 1, 0, 0])
+
+
 def test_write_roc_format(tmp_path):
     curve = roc_curve([0.9, 0.1], [1, 0])
     path = tmp_path / "roc.csv"
