@@ -17,6 +17,7 @@ import numpy as np
 
 from . import reduce as reduce_mod
 from . import tree as tree_mod
+from .errors import ConvergenceError
 from .linalg import pairwise_sq_dists
 from .tables import write_json
 
@@ -54,8 +55,8 @@ class ClassifierSpec:
             raise ValueError("learning_rate must be positive")
         if self.max_depth < 0 or self.n_stages < 1 or self.max_iter < 1:
             raise ValueError("max_depth, n_stages and max_iter must be sensible")
-        if self.l2 < 0 or self.svm_reg <= 0:
-            raise ValueError("l2 must be non-negative and svm_reg positive")
+        if self.l2 <= 0 or self.svm_reg <= 0:
+            raise ValueError("l2 and svm_reg must be positive")
 
 
 @dataclass
@@ -171,35 +172,36 @@ def decision_score(model: TrainedClassifier, X) -> np.ndarray:
 
 
 def _fit_logreg(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray) -> TrainedClassifier:
-    """Ridge-penalized MLE by plain gradient descent with a Lipschitz step.
+    """Ridge-penalized MLE by Newton's method (IRLS) on theta = (w, b).
 
-    The step size 1 / (sigma_max^2 / 4n + l2) guarantees descent, and the
-    loop stops once the full gradient norm falls under spec.tol. The
-    intercept is not penalized.
+    The intercept b is not penalized. Each step solves the (d+1)-square
+    Hessian system [X, 1]^T diag(p(1-p)) [X, 1] / n + l2 on the weight
+    diagonal, which l2 > 0 keeps positive definite. Returns once the full
+    gradient norm is at most spec.tol; raises ConvergenceError when max_iter
+    steps pass or the solve fails.
     """
     n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    # Largest singular value via a few power iterations on X^T X.
-    v = np.ones(d) / np.sqrt(d)
-    for _ in range(30):
-        v = X.T @ (X @ v)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            break
-        v /= norm
-    sigma_sq = float(v @ (X.T @ (X @ v)))
-    step = 1.0 / (sigma_sq / (4.0 * n) + spec.l2 + 0.25)
-
-    for _ in range(spec.max_iter):
+    w, b = np.zeros(d), 0.0
+    # Refilled in place each step: the rows of [X, 1] times sqrt(p(1-p)/n), and the Hessian.
+    scaled, hessian = np.empty((n, d + 1)), np.empty((d + 1, d + 1))
+    diag = np.arange(d)
+    for iteration in range(spec.max_iter):
         p = sigmoid(X @ w + b)
-        grad_w = X.T @ (p - y) / n + spec.l2 * w
-        grad_b = float(np.mean(p - y))
-        if np.sqrt(np.sum(grad_w**2) + grad_b**2) <= spec.tol:
-            break
-        w -= step * grad_w
-        b -= step * grad_b
-    return TrainedClassifier(LOGREG, spec, d, weights=w, intercept=b)
+        grad = np.append(X.T @ (p - y) / n + spec.l2 * w, np.mean(p - y))
+        if np.linalg.norm(grad) <= spec.tol:
+            return TrainedClassifier(LOGREG, spec, d, weights=w, intercept=b)
+        root = np.sqrt(p * (1.0 - p) / n)
+        np.multiply(X, root[:, None], out=scaled[:, :d])
+        scaled[:, d] = root
+        np.matmul(scaled.T, scaled, out=hessian)
+        hessian[diag, diag] += spec.l2
+        try:
+            step = np.linalg.solve(hessian, grad)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"LOGREG Newton step failed: {exc}", iterations=iteration) from exc
+        w = w - step[:d]
+        b -= float(step[d])
+    raise ConvergenceError(f"LOGREG did not converge within {spec.max_iter} iterations", iterations=spec.max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,12 @@ def build_config(file_values: dict[str, str], overrides: dict | None = None) -> 
     _classifier_spec(cfg)
     if cfg.reduce_method == "KPCA":
         reduce_mod.KernelSpec(cfg.kernel, cfg.gamma)
+    cluster_mod.ClusterConfig(cluster_mod.KMEANS, cfg.n_clusters, cfg.seed, cfg.restarts)
+    if cfg.n_neighbors < 1:
+        raise ValueError("n_neighbors must be positive")
     n_patients = 2 * cfg.resolved_n_per_class
+    if cfg.n_clusters > n_patients:
+        raise ValueError(f"n_clusters={cfg.n_clusters} exceeds the {n_patients} patients")
     most = n_patients - 1 if cfg.reduce_method in ("KPCA", "ISOMAP") else n_patients
     if cfg.reduce_method != NONE_REDUCER and cfg.n_components > most:
         raise ValueError(f"n_components={cfg.n_components} exceeds {most} ({cfg.reduce_method}, {n_patients} patients)")
@@ -256,23 +261,21 @@ def cmd_featurize(cfg: PipelineConfig) -> dict:
 def cmd_reduce(cfg: PipelineConfig) -> dict:
     path = _require(cfg, FEATURES_FILE, "featurize")
     matrix = read_matrix(path)
-    if cfg.reduce_method == NONE_REDUCER:
-        embedding = reduce_mod.Embedding(
-            matrix.values.astype(float), NONE_REDUCER, list(matrix.row_ids)
-        )
-    else:
+    values = matrix.values.astype(float)
+    if cfg.reduce_method != NONE_REDUCER:
         kernel = None
         if cfg.reduce_method == "KPCA":
             kernel = reduce_mod.KernelSpec(cfg.kernel, cfg.gamma)
         model = reduce_mod.fit_reducer(
             cfg.reduce_method,
-            matrix,
+            values,
             cfg.n_components,
             kernel=kernel,
             n_neighbors=cfg.n_neighbors,
             seed=cfg.seed,
         )
-        embedding = reduce_mod.transform(model, matrix)
+        values = reduce_mod.transform(model, values).values
+    embedding = reduce_mod.Embedding(values, cfg.reduce_method, list(matrix.row_ids))
     out = _workpath(cfg, EMBEDDING_FILE)
     reduce_mod.write_embedding(embedding, out)
     n, k = embedding.values.shape
@@ -339,8 +342,8 @@ def cmd_train(cfg: PipelineConfig, sweep: bool = False) -> dict:
 
         def kpca(gamma: float) -> tuple[np.ndarray, classify.ClassifierSpec]:
             kernel = reduce_mod.KernelSpec(reduce_mod.RBF, gamma)
-            model = reduce_mod.fit_reducer("KPCA", matrix, cfg.n_components, kernel=kernel, seed=cfg.seed)
-            return reduce_mod.transform(model, matrix).values, gbdt
+            model = reduce_mod.fit_reducer("KPCA", matrix.values, cfg.n_components, kernel=kernel, seed=cfg.seed)
+            return reduce_mod.transform(model, matrix.values).values, gbdt
 
         _cv_sweep(cfg, y, "gamma", GAMMA_SWEEP_FILE, cfg.gamma_grid, kpca)
     return {"alpha_rows": len(cfg.alpha_grid), "depth_rows": len(cfg.depth_grid)}

@@ -16,7 +16,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import ConnectivityError, ConvergenceError, ParseError
-from .featurize import FeatureMatrix
 from .linalg import pairwise_sq_dists, symmetric_eig
 from .tables import check_unique_ids, format_row, read_table, write_table
 
@@ -107,7 +106,6 @@ class ReducerModel:
     # ISOMAP
     n_neighbors: int | None = None
     train_embedding: np.ndarray | None = None
-    row_ids: list[str] | None = None
 
 
 @dataclass
@@ -117,12 +115,6 @@ class Embedding:
     values: np.ndarray
     method: str
     row_ids: list[str] | None = None
-
-
-def _as_array(X) -> tuple[np.ndarray, list[str] | None]:
-    if isinstance(X, FeatureMatrix):
-        return np.asarray(X.values, dtype=float), list(X.row_ids)
-    return np.asarray(X, dtype=float), None
 
 
 def _validate_fit_input(X: np.ndarray, k: int) -> None:
@@ -152,30 +144,27 @@ def fit_reducer(
     eigenvalue is numerically zero and reports the shrunken count in the
     model's n_components.
     """
-    data, row_ids = _as_array(X)
+    data = np.asarray(X, dtype=float)
     n, d = data.shape if data.ndim == 2 else (0, 0)
     _validate_fit_input(data, k)
 
     if method == "PCA":
         if k > min(n, d):
             raise ValueError(f"PCA k={k} exceeds min(n_samples, n_features)={min(n, d)}")
-        model = _fit_pca(data, k)
-    elif method == "KPCA":
+        return _fit_pca(data, k)
+    if method == "KPCA":
         if k > n - 1:
             raise ValueError(f"KPCA k={k} exceeds n_samples - 1 = {n - 1}")
-        model = _fit_kpca(data, k, kernel or KernelSpec(RBF))
-    elif method == "ICA":
+        return _fit_kpca(data, k, kernel or KernelSpec(RBF))
+    if method == "ICA":
         if k > min(n, d):
             raise ValueError(f"ICA k={k} exceeds min(n_samples, n_features)={min(n, d)}")
-        model = _fit_ica(data, k, seed)
-    elif method == "ISOMAP":
+        return _fit_ica(data, k, seed)
+    if method == "ISOMAP":
         if k > n - 1:
             raise ValueError(f"ISOMAP k={k} exceeds n_samples - 1 = {n - 1}")
-        model = _fit_isomap(data, k, n_neighbors)
-    else:
-        raise ValueError(f"unknown reducer {method!r}")
-    model.row_ids = row_ids
-    return model
+        return _fit_isomap(data, k, n_neighbors)
+    raise ValueError(f"unknown reducer {method!r}")
 
 
 def transform(model: ReducerModel, X) -> Embedding:
@@ -184,7 +173,7 @@ def transform(model: ReducerModel, X) -> Embedding:
     ISOMAP has no out-of-sample extension here: it only accepts the exact
     training matrix and returns the stored embedding.
     """
-    data, row_ids = _as_array(X)
+    data = np.asarray(X, dtype=float)
     if data.ndim != 2:
         raise ValueError("expected a 2-dimensional matrix")
 
@@ -205,11 +194,9 @@ def transform(model: ReducerModel, X) -> Embedding:
         if model.train_X.shape != data.shape or not np.array_equal(model.train_X, data):
             raise ValueError("ISOMAP can only transform the rows it was fitted on")
         values = model.train_embedding.copy()
-        if row_ids is None:
-            row_ids = model.row_ids
     else:
         raise ValueError(f"unknown reducer {model.method!r}")
-    return Embedding(np.asarray(values, dtype=float), model.method, row_ids)
+    return Embedding(np.asarray(values, dtype=float), model.method)
 
 
 def _leading_positive(values: np.ndarray, k: int, error: str) -> int:

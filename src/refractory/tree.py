@@ -1,7 +1,8 @@
 """Binary CART trees: exhaustive midpoint splits, entropy or variance.
 
 Candidate thresholds are midpoints between consecutive distinct sorted
-values of each feature. The best split maximizes impurity decrease; exact
+values of each feature, or the lower value where the midpoint rounds up to
+the upper one. The best split maximizes impurity decrease; exact
 ties go to the lowest feature index, then the lowest threshold, so tree
 construction is fully deterministic. Impure nodes may split at zero gain,
 which is what lets depth-2 trees carve XOR-style interactions whose
@@ -250,7 +251,9 @@ def _best_splits(
     hit = np.take(gains, np.repeat(feature, lens) * m + cols) >= cut
     pos = np.minimum.reduceat(np.where(hit, cols, m), starts)
     at = (feature * m + pos)[split]
-    threshold = (np.take(sv, at) + np.take(sv, at + 1)) / 2.0
+    lo, hi = np.take(sv, at), np.take(sv, at + 1)
+    mid = (lo + hi) / 2.0
+    threshold = np.where(mid == hi, lo, mid)  # adjacent floats: the midpoint rounds to hi
     return split, feature[split], threshold, np.take(gains, at)
 
 

@@ -23,6 +23,7 @@ from refractory.classify import (
     sigmoid,
     write_model_summary,
 )
+from refractory.errors import ConvergenceError
 from refractory.linalg import pairwise_sq_dists
 
 
@@ -136,6 +137,25 @@ def test_logreg_gradient_small_at_solution():
     grad_w = X.T @ (p - y) / len(y) + spec.l2 * model.weights
     grad_b = np.mean(p - y)
     assert np.sqrt(np.sum(grad_w**2) + grad_b**2) <= 1e-5
+
+
+def test_logreg_converges_when_features_outnumber_rows():
+    rng = np.random.default_rng(3)
+    X = rng.poisson(0.5, size=(60, 150)).astype(float)
+    y = rng.integers(0, 2, 60).astype(float)
+    spec = ClassifierSpec(method=LOGREG)
+    model = fit_classifier(spec, X, y)
+    p = sigmoid(X @ model.weights + model.intercept)
+    grad_w = X.T @ (p - y) / len(y) + spec.l2 * model.weights
+    grad_b = np.mean(p - y)
+    assert np.sqrt(np.sum(grad_w**2) + grad_b**2) <= spec.tol
+
+
+def test_logreg_raises_when_out_of_iterations():
+    X, y = _blobs(seed=7, gap=3.0)
+    with pytest.raises(ConvergenceError) as info:
+        fit_classifier(ClassifierSpec(method=LOGREG, max_iter=1), X, y)
+    assert info.value.iterations == 1
 
 
 def test_logreg_separates_blobs():
@@ -347,6 +367,13 @@ def test_spec_validation():
         ClassifierSpec(svm_reg=0.0)
     with pytest.raises(ValueError):
         ClassifierSpec(l2=-1.0)
+
+
+def test_spec_rejects_zero_l2():
+    # With l2 = 0 and at least as many features as rows, the Newton system
+    # is singular and the maximum-likelihood estimate need not exist.
+    with pytest.raises(ValueError):
+        ClassifierSpec(l2=0.0)
 
 
 def test_fit_rejects_bad_targets():

@@ -289,6 +289,11 @@ def test_evaluate_adds_a_classifier_missing_from_estimators(tmp_path):
         "k_folds = 7\nn_case = 4\nn_control = 4",
         "k_folds = 1",
         "n_case = 10\nn_control = 10\nn_components = 25",
+        "n_clusters = 0",
+        "restarts = 0",
+        "n_case = 30\nn_control = 30\nn_clusters = 61",
+        "n_neighbors = 0",
+        "l2 = 0",
     ],
 )
 def test_bad_config_fails_before_any_stage(tmp_path, capsys, settings):

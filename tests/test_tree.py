@@ -168,6 +168,16 @@ def test_duplicate_feature_values_never_split_between_ties():
     assert root.threshold == 1.5
 
 
+@pytest.mark.parametrize("criterion", [ENTROPY, VARIANCE])
+def test_threshold_between_adjacent_floats_separates_them(criterion):
+    # The midpoint of two adjacent floats rounds to the upper one.
+    lo, hi = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+    root = fit_tree(np.array([[lo], [hi]]), np.array([0.0, 1.0]), max_depth=1, criterion=criterion)
+    assert root.threshold == lo
+    assert (root.left.n_samples, root.right.n_samples) == (1, 1)
+    np.testing.assert_array_equal(predict_tree(root, np.array([[lo], [hi], [1.5]])), [0.0, 1.0, 1.0])
+
+
 def test_fit_validates_shapes():
     with pytest.raises(ValueError):
         fit_tree(np.zeros((3, 2)), np.zeros(4), max_depth=1, criterion=ENTROPY)
