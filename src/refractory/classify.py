@@ -57,6 +57,8 @@ class ClassifierSpec:
             raise ValueError("max_depth, n_stages and max_iter must be sensible")
         if self.l2 <= 0 or self.svm_reg <= 0:
             raise ValueError("l2 and svm_reg must be positive")
+        if self.gamma is not None and self.gamma <= 0:
+            raise ValueError("gamma must be positive")
 
 
 @dataclass

@@ -166,6 +166,12 @@ def build_config(file_values: dict[str, str], overrides: dict | None = None) -> 
     _classifier_spec(cfg)
     if cfg.reduce_method == "KPCA":
         reduce_mod.KernelSpec(cfg.kernel, cfg.gamma)
+    for alpha in cfg.alpha_grid:
+        _classifier_spec(cfg, learning_rate=alpha)
+    for depth in cfg.depth_grid:
+        _classifier_spec(cfg, max_depth=depth)
+    for gamma in cfg.gamma_grid:
+        reduce_mod.KernelSpec(reduce_mod.RBF, gamma)
     cluster_mod.ClusterConfig(cluster_mod.KMEANS, cfg.n_clusters, cfg.seed, cfg.restarts)
     if cfg.n_neighbors < 1:
         raise ValueError("n_neighbors must be positive")
@@ -476,6 +482,9 @@ class RunReport:
 
 
 def cmd_run_all(cfg: PipelineConfig) -> RunReport:
+    # The cohort subcommand may read any events.csv; run-all knows what synth writes.
+    if cfg.resolved_n_per_class > min(cfg.n_case, cfg.n_control):
+        raise ValueError(f"n_per_class={cfg.n_per_class} exceeds n_case={cfg.n_case} or n_control={cfg.n_control}")
     report = RunReport(config=asdict(cfg))
     stages = [
         ("synth", lambda: cmd_synth(cfg, _workpath(cfg, EVENTS_FILE)), [EVENTS_FILE]),

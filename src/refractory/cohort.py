@@ -9,6 +9,8 @@ events strictly before the index day may feed features downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -54,16 +56,7 @@ class LabeledCohort:
 
 def build_timelines(table: EventTable) -> list[PatientTimeline]:
     """Group a table into one timeline per patient, in table (id) order."""
-    timelines: list[PatientTimeline] = []
-    current: list[EventRecord] = []
-    for rec in table:
-        if current and current[-1].patient_id != rec.patient_id:
-            timelines.append(PatientTimeline(current[0].patient_id, tuple(current)))
-            current = []
-        current.append(rec)
-    if current:
-        timelines.append(PatientTimeline(current[0].patient_id, tuple(current)))
-    return timelines
+    return [PatientTimeline(pid, tuple(events)) for pid, events in groupby(table, attrgetter("patient_id"))]
 
 
 def label_patient(timeline: PatientTimeline) -> LabeledPatient | None:

@@ -71,11 +71,7 @@ class EventTable:
 
     def patient_ids(self) -> list[str]:
         """Distinct patient ids in table order."""
-        seen: list[str] = []
-        for rec in self.records:
-            if not seen or seen[-1] != rec.patient_id:
-                seen.append(rec.patient_id)
-        return seen
+        return list(dict.fromkeys(rec.patient_id for rec in self.records))
 
 
 def read_events(path: str | Path) -> EventTable:

@@ -120,10 +120,10 @@ def generate_events(config: GeneratorConfig) -> EventTable:
     rng = np.random.default_rng(config.seed)
     scales = code_scales(config.n_signal_codes)
     lo, hi = config.shell_radii
-    codes = config.code_names()
-    kinds = [_code_kind(i, config.n_signal_codes) for i in range(config.n_codes)]
     n_signal = config.n_signal_codes
-    n_background = config.n_codes - n_signal
+    # Row 0 is the AED failure; row 1 + i is generator code i.
+    code_table = [("AED_FAILURE", "AED")]
+    code_table += [(_code_kind(i, n_signal), code) for i, code in enumerate(config.code_names())]
 
     records: list[EventRecord] = []
     lo_third = TIMELINE_DAYS // 3
@@ -136,11 +136,8 @@ def generate_events(config: GeneratorConfig) -> EventTable:
         index_day = int(rng.integers(lo_third, hi_third))
 
         # AED failure schedule: the index failure, plus >= 4 later ones for cases.
-        records.append(EventRecord(patient_id, "AED_FAILURE", "AED", index_day))
-        if is_case:
-            n_post = 4 + int(rng.poisson(_EXTRA_FAILURE_RATE))
-            for day in rng.integers(index_day + 1, TIMELINE_DAYS, size=n_post):
-                records.append(EventRecord(patient_id, "AED_FAILURE", "AED", int(day)))
+        n_post = 4 + int(rng.poisson(_EXTRA_FAILURE_RATE)) if is_case else 0
+        failure_days = [index_day, *rng.integers(index_day + 1, TIMELINE_DAYS, size=n_post)]
 
         # Per-code shell states. Pairs agree for cases, disagree for controls,
         # with a small flip rate; a trailing unpaired code is a fair coin.
@@ -157,16 +154,17 @@ def generate_events(config: GeneratorConfig) -> EventTable:
         latent = radii + config.noise_scale * scales * rng.standard_normal(n_signal)
         counts = np.rint(np.abs(latent)).astype(np.int64)
 
-        # Planted counts become pre-index diagnosis events.
-        for j in np.flatnonzero(counts):
-            for day in rng.integers(0, index_day, size=counts[j]):
-                records.append(EventRecord(patient_id, "DIAGNOSIS", codes[j], int(day)))
+        # Planted counts become pre-index diagnosis events; the shared,
+        # class-independent background spreads over the whole timeline.
+        # One draw per block gives the same values, and leaves the same
+        # generator state, as one draw per code with the same bounds.
+        signal_days = rng.integers(0, index_day, size=counts.sum())
+        bg_counts = rng.poisson(BACKGROUND_RATE, size=config.n_codes - n_signal)
+        bg_days = rng.integers(0, TIMELINE_DAYS, size=bg_counts.sum())
 
-        # Shared background over the whole timeline, class-independent.
-        bg_counts = rng.poisson(BACKGROUND_RATE, size=n_background)
-        for offset in np.flatnonzero(bg_counts):
-            code_idx = n_signal + offset
-            for day in rng.integers(0, TIMELINE_DAYS, size=bg_counts[offset]):
-                records.append(EventRecord(patient_id, kinds[code_idx], codes[code_idx], int(day)))
+        rows = np.repeat(np.arange(len(code_table)), np.concatenate(([len(failure_days)], counts, bg_counts)))
+        days = np.concatenate((failure_days, signal_days, bg_days))
+        for row, day in zip(rows.tolist(), days.tolist()):
+            records.append(EventRecord(patient_id, *code_table[row], day))
 
     return EventTable(records)

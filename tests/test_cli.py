@@ -294,6 +294,12 @@ def test_evaluate_adds_a_classifier_missing_from_estimators(tmp_path):
         "n_case = 30\nn_control = 30\nn_clusters = 61",
         "n_neighbors = 0",
         "l2 = 0",
+        "classifier_gamma = 0",
+        "classifier_gamma = -1",
+        "alpha_grid = 0.1, 0",
+        "depth_grid = -1",
+        "gamma_grid = 0.01, -1",
+        "n_case = 30\nn_control = 30\nn_per_class = 40",
     ],
 )
 def test_bad_config_fails_before_any_stage(tmp_path, capsys, settings):

@@ -122,3 +122,57 @@ def test_signal_pairs_agree_more_for_cases(tiny_dataset):
     agree = (states[:, 0::2] == states[:, 1::2]).mean(axis=1)
     assert agree[y == 1].mean() > 0.7
     assert agree[y == 0].mean() < 0.3
+
+
+# The per-code generator that the block-draw one replaced, kept as the
+# reference: one draw per nonzero code and four record-building sites.
+def _reference_events(config):
+    rng = np.random.default_rng(config.seed)
+    scales = synth.code_scales(config.n_signal_codes)
+    lo, hi = config.shell_radii
+    codes = config.code_names()
+    kinds = [synth._code_kind(i, config.n_signal_codes) for i in range(config.n_codes)]
+    n_signal = config.n_signal_codes
+    n_background = config.n_codes - n_signal
+    records = []
+    patients = [(f"case-{i:04d}", True) for i in range(config.n_case)]
+    patients += [(f"ctrl-{i:04d}", False) for i in range(config.n_control)]
+    for patient_id, is_case in patients:
+        index_day = int(rng.integers(synth.TIMELINE_DAYS // 3, 2 * synth.TIMELINE_DAYS // 3))
+        records.append(r.EventRecord(patient_id, "AED_FAILURE", "AED", index_day))
+        if is_case:
+            n_post = 4 + int(rng.poisson(synth._EXTRA_FAILURE_RATE))
+            for day in rng.integers(index_day + 1, synth.TIMELINE_DAYS, size=n_post):
+                records.append(r.EventRecord(patient_id, "AED_FAILURE", "AED", int(day)))
+        states = np.zeros(n_signal, dtype=np.int64)
+        for p in range(n_signal // 2):
+            agree = is_case == (rng.random() >= synth.PAIR_FLIP_RATE)
+            first = int(rng.integers(2))
+            states[2 * p] = first
+            states[2 * p + 1] = first if agree else 1 - first
+        if n_signal % 2:
+            states[-1] = int(rng.integers(2))
+        radii = np.where(states == 1, hi, lo) * scales
+        latent = radii + config.noise_scale * scales * rng.standard_normal(n_signal)
+        counts = np.rint(np.abs(latent)).astype(np.int64)
+        for j in np.flatnonzero(counts):
+            for day in rng.integers(0, index_day, size=counts[j]):
+                records.append(r.EventRecord(patient_id, "DIAGNOSIS", codes[j], int(day)))
+        bg_counts = rng.poisson(synth.BACKGROUND_RATE, size=n_background)
+        for offset in np.flatnonzero(bg_counts):
+            code_idx = n_signal + offset
+            for day in rng.integers(0, synth.TIMELINE_DAYS, size=bg_counts[offset]):
+                records.append(r.EventRecord(patient_id, kinds[code_idx], codes[code_idx], int(day)))
+    return r.EventTable(records)
+
+
+def test_generator_matches_per_code_reference():
+    configs = [
+        r.GeneratorConfig(n_case=20, n_control=20, seed=0),
+        r.GeneratorConfig(n_case=20, n_control=20, n_signal_codes=3, seed=1),  # one unpaired code
+        r.GeneratorConfig(n_case=20, n_control=20, n_codes=9, n_signal_codes=9, noise_scale=3.0, seed=2),  # no background
+        r.GeneratorConfig(n_case=20, n_control=20, shell_radii=(0.1, 0.3), noise_scale=0.0, seed=3),  # no signal events
+        r.GeneratorConfig(n_case=1, n_control=1, seed=4),
+    ]
+    for cfg in configs:
+        assert r.generate_events(cfg) == _reference_events(cfg), cfg
