@@ -217,8 +217,7 @@ def _spectral(X: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
     degrees = np.maximum(degrees, 1e-300)
     inv_sqrt = 1.0 / np.sqrt(degrees)
     M = affinity * inv_sqrt[:, None] * inv_sqrt[None, :]
-    _, vectors = symmetric_eig(M)
-    rows = vectors[:, : config.n_clusters]
+    _, rows = symmetric_eig(M, config.n_clusters)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     rows = rows / np.maximum(norms, 1e-300)
     labels, _, inertia, trace = _kmeans(rows, config)

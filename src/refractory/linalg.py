@@ -3,22 +3,50 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+from .errors import ConvergenceError
 
 
-def symmetric_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def symmetric_eig(matrix: np.ndarray, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a real symmetric matrix with a fixed convention.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted
     non-increasing, eigenvectors in matching columns, and each eigenvector's
     largest-magnitude entry made positive so repeated runs agree in sign.
+
+    With k, only the k algebraically largest pairs are returned. When k is
+    small against n they come from ARPACK's restarted Lanczos, started from
+    a fixed seeded vector so repeated runs agree; otherwise, and for the
+    full spectrum, from a dense LAPACK solve. Raises ConvergenceError when
+    Lanczos runs out of iterations.
     """
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.allclose(A, A.T, rtol=0.0, atol=1e-8 * max(1.0, float(np.abs(A).max(initial=0.0)))):
         raise ValueError("matrix is not symmetric")
-    values, vectors = np.linalg.eigh(A)
-    order = np.argsort(values)[::-1]
+    n = A.shape[0]
+    if k is not None and not 1 <= k <= n:
+        raise ValueError(f"k={k} must lie in [1, {n}]")
+    # ARPACK refuses k >= n, and from 2k >= n its default basis of 2k + 1
+    # Lanczos vectors would span the whole space; it cannot start on a zero
+    # matrix.
+    if k is None or 2 * k >= n or not A.any():
+        values, vectors = np.linalg.eigh(A)
+    else:
+        # Not the ones vector: a centered Gram maps it to zero, which would
+        # start the Krylov space in the null space the caller discards.
+        v0 = np.random.default_rng(0).standard_normal(n)
+        maxiter = 10 * n  # eigsh's default, named so the error can report it
+        try:
+            values, vectors = eigsh(A, k=k, which="LA", v0=v0, maxiter=maxiter)
+        except ArpackNoConvergence as exc:
+            raise ConvergenceError(
+                f"Lanczos did not find {k} eigenpairs within {maxiter} iterations",
+                iterations=maxiter,
+            ) from exc
+    order = np.argsort(values)[::-1][:k]
     values = values[order]
     vectors = vectors[:, order]
     flip = np.take_along_axis(

@@ -212,6 +212,8 @@ def _fit_pca(X: np.ndarray, k: int) -> ReducerModel:
     mean = X.mean(axis=0)
     centered = X - mean
     cov = (centered.T @ centered) / X.shape[0]
+    # Full solve: cov is d x d in the vocabulary, cheap at any cohort size, and
+    # ICA whitens with these axes, so its rounding reaches the sweep's ICA cells.
     values, vectors = symmetric_eig(cov)
     return ReducerModel(
         method="PCA",
@@ -230,7 +232,7 @@ def _fit_kpca(X: np.ndarray, k: int, kernel: KernelSpec) -> ReducerModel:
     col_means = K.mean(axis=0)
     grand_mean = float(K.mean())
     centered = center_kernel(K)
-    values, vectors = symmetric_eig(centered)
+    values, vectors = symmetric_eig(centered, k)
     keep = _leading_positive(values, k, "kernel matrix has no positive eigenvalues; nothing to embed")
     top = values[:keep]
     dual_axes = vectors[:, :keep] / np.sqrt(top)[None, :]
@@ -323,7 +325,7 @@ def _fit_isomap(X: np.ndarray, k: int, n_neighbors: int) -> ReducerModel:
 
     # Classical MDS on the squared geodesics.
     B = -0.5 * center_kernel(geo**2)
-    values, vectors = symmetric_eig(B)
+    values, vectors = symmetric_eig(B, k)
     keep = _leading_positive(values, k, "geodesic Gram matrix has no positive eigenvalues")
     embedding = vectors[:, :keep] * np.sqrt(values[:keep])[None, :]
     return ReducerModel(

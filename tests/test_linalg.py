@@ -1,6 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from refractory import linalg
+from refractory.cluster import clustering_sweep
+from refractory.errors import ConvergenceError
 from refractory.linalg import pairwise_sq_dists, symmetric_eig
 
 
@@ -74,3 +80,118 @@ def test_pairwise_sq_dists_self_nonnegative_zero_diag():
     D = pairwise_sq_dists(X)
     assert D.min() >= 0.0
     np.testing.assert_allclose(np.diag(D), 0.0, atol=1e-12)
+
+
+def _random_symmetric(rng, n):
+    A = rng.normal(size=(n, n))
+    return (A + A.T) / 2.0
+
+
+def _centered_rbf_gram(rng, n):
+    X = rng.normal(size=(n, 6))
+    K = np.exp(-pairwise_sq_dists(X) / 6.0)
+    return K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
+
+
+def _normalized_affinity(rng, n):
+    X = np.vstack([rng.normal(size=(n // 2, 3)), rng.normal(size=(n - n // 2, 3)) + 3.0])
+    W = np.exp(-pairwise_sq_dists(X) / 3.0)
+    np.fill_diagonal(W, 0.0)
+    inv_sqrt = 1.0 / np.sqrt(W.sum(axis=1))
+    return W * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+def _graph_laplacian(rng, n):
+    # Integer weights: every row sum is exactly zero, so the ones vector
+    # lies exactly in the null space.
+    W = np.triu(rng.integers(0, 3, size=(n, n)), 1).astype(float)
+    W = W + W.T
+    return np.diag(W.sum(axis=1)) - W
+
+
+TOP_K_CASES = [
+    (_random_symmetric, 150),
+    (_random_symmetric, 300),
+    (_centered_rbf_gram, 200),
+    (_normalized_affinity, 120),
+    (_graph_laplacian, 100),
+]
+
+
+@pytest.mark.parametrize("make, n", TOP_K_CASES)
+@pytest.mark.parametrize("k", [1, 2, 20])
+def test_top_k_matches_leading_pairs_of_full_solve(make, n, k):
+    A = make(np.random.default_rng(n + k), n)
+    full_values, full_vectors = symmetric_eig(A)
+    values, vectors = symmetric_eig(A, k)
+    assert values.shape == (k,) and vectors.shape == (n, k)
+    np.testing.assert_allclose(values, full_values[:k], rtol=1e-12, atol=1e-12 * np.abs(full_values).max())
+    np.testing.assert_allclose(vectors, full_vectors[:, :k], rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("make, n", TOP_K_CASES)
+def test_top_k_residual_order_and_sign(make, n):
+    A = make(np.random.default_rng(n), n)
+    values, vectors = symmetric_eig(A, 20)
+    residual = np.linalg.norm(A @ vectors - vectors * values[None, :], axis=0)
+    assert residual.max() <= 1e-8 * np.linalg.norm(A)
+    assert np.all(np.diff(values) <= 0.0)
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        assert col[np.argmax(np.abs(col))] > 0
+
+
+def test_top_k_repeats_exactly():
+    A = _centered_rbf_gram(np.random.default_rng(9), 200)
+    first, second = symmetric_eig(A, 20), symmetric_eig(A, 20)
+    assert np.array_equal(first[0], second[0])
+    assert np.array_equal(first[1], second[1])
+
+
+@pytest.mark.parametrize("n, k", [(10, 10), (10, 5), (41, 21), (2, 1)])
+def test_top_k_large_against_n_is_the_dense_solve(n, k):
+    A = _random_symmetric(np.random.default_rng(n), n)
+    full_values, full_vectors = symmetric_eig(A)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, vectors = symmetric_eig(A, k)
+    assert np.array_equal(values, full_values[:k])
+    assert np.array_equal(vectors, full_vectors[:, :k])
+
+
+@pytest.mark.parametrize("k", [0, -1, 7])
+def test_top_k_out_of_range_rejected(k):
+    with pytest.raises(ValueError):
+        symmetric_eig(np.eye(6), k)
+
+
+@pytest.mark.parametrize("n, k", [(30, 2), (30, 15), (100, 20)])
+def test_top_k_of_zero_matrix_is_zero(n, k):
+    values, vectors = symmetric_eig(np.zeros((n, n)), k)
+    np.testing.assert_array_equal(values, np.zeros(k))
+    np.testing.assert_allclose(vectors.T @ vectors, np.eye(k), atol=1e-12)
+
+
+def _stalled_eigsh(A, k, **kwargs):
+    raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((A.shape[0], 0)))
+
+
+def test_top_k_non_convergence_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr(linalg, "eigsh", _stalled_eigsh)
+    A = _random_symmetric(np.random.default_rng(0), 50)
+    with pytest.raises(ConvergenceError) as info:
+        symmetric_eig(A, 3)
+    assert info.value.iterations > 0
+    symmetric_eig(A)  # the full solve does not use Lanczos
+
+
+def test_sweep_records_lanczos_failure(monkeypatch):
+    monkeypatch.setattr(linalg, "eigsh", _stalled_eigsh)
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(40, 6))
+    y = np.repeat([0, 1], 20)
+    cells = clustering_sweep(X, y, reductions=("none", "KPCA"), methods=("KMEANS", "SPECTRAL"), k=3, restarts=2)
+    status = {(c.reduction, c.method): c.status for c in cells}
+    assert status[("none", "KMEANS")] == "ok"
+    for cell in [("none", "SPECTRAL"), ("KPCA", "KMEANS"), ("KPCA", "SPECTRAL")]:
+        assert status[cell].startswith("failed: Lanczos did not find")

@@ -210,3 +210,53 @@ def test_ica_convergence_error_carries_iterations():
         assert err.value.iterations == 1
     finally:
         reduce_mod._ICA_MAX_ITER = old
+
+
+@pytest.mark.parametrize(
+    "X",
+    [np.ones((30, 4)), np.tile([1.0, 0.0, 3.0, 2.0], (30, 1))],
+    ids=["constant", "one-row-repeated"],
+)
+@pytest.mark.parametrize("k", [2, 20])
+def test_degenerate_rows_have_nothing_to_embed(X, k):
+    with pytest.raises(ValueError, match="no positive eigenvalues"):
+        r.fit_reducer("KPCA", X, k)
+    with pytest.raises(ValueError, match="no positive eigenvalues"):
+        r.fit_reducer("ISOMAP", X, k)
+    model = r.fit_reducer("PCA", X, 2)
+    np.testing.assert_array_equal(model.eigenvalues, 0.0)
+
+
+
+@pytest.mark.parametrize(
+    "rows, counts",
+    [
+        ([[1.0, 0.0, 3.0, 2.0], [0.0, 2.0, 1.0, 1.0]], [60, 40]),
+        ([[1.0, 0.0, 3.0, 2.0], [0.0, 2.0, 1.0, 1.0], [2.0, 1.0, 0.0, 0.0]], [50, 30, 20]),
+    ],
+    ids=["two-rows", "three-rows"],
+)
+@pytest.mark.parametrize("k", [2, 20])
+def test_low_rank_rows_keep_positive_components_as_the_full_solve(monkeypatch, rows, counts, k):
+    # 100 copies of two or three rows, so the centered matrices have rank 1 or
+    # 2: Lanczos asked for k pairs meets an invariant subspace and must still
+    # return the positive pairs. Unequal counts keep the sign rule's
+    # largest-magnitude entry unique.
+    import refractory.reduce as reduce_mod
+    from refractory.linalg import symmetric_eig
+
+    X = np.repeat(rows, counts, axis=0)
+    n_neighbors = max(counts) + 5
+
+    def fit_both():
+        return r.fit_reducer("KPCA", X, k), r.fit_reducer("ISOMAP", X, k, n_neighbors=n_neighbors)
+
+    top_k = fit_both()
+    monkeypatch.setattr(reduce_mod, "symmetric_eig", lambda A, k=None: symmetric_eig(A))
+    full = fit_both()
+    assert top_k[0].n_components == full[0].n_components == len(rows) - 1
+    assert 1 <= top_k[1].n_components == full[1].n_components <= len(rows) - 1
+    for model, reference in zip(top_k, full):
+        np.testing.assert_allclose(model.eigenvalues, reference.eigenvalues, rtol=1e-12)
+    np.testing.assert_allclose(top_k[0].dual_axes, full[0].dual_axes, atol=1e-10)
+    np.testing.assert_allclose(top_k[1].train_embedding, full[1].train_embedding, atol=1e-10)

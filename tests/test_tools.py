@@ -1,0 +1,47 @@
+"""tools/artifact_diff.py sizes the columns that moved in a differing CSV."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("artifact_diff", ROOT / "tools" / "artifact_diff.py")
+artifact_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(artifact_diff)
+
+
+def _pair(tmp_path, parent_text, change_text):
+    parent, change = tmp_path / "parent.csv", tmp_path / "change.csv"
+    parent.write_text(parent_text)
+    change.write_text(change_text)
+    return parent, change
+
+
+def test_column_moves_sizes_numbers_and_counts_other_cells(tmp_path):
+    parent, change = _pair(
+        tmp_path,
+        "id,c0,c1,status\np1,1.0,2.0,ok\np2,3.0,4.0,ok\np3,5.0,,ok\n",
+        "id,c0,c1,status\np1,1.0,2.5,ok\np2,3.0000000000001,4.0,failed: x\np3,5.0,6.0,failed: y\n",
+    )
+    assert artifact_diff.column_moves(parent, change) == [
+        "    c0: max |change| 1e-13",
+        "    c1: 2 cells differ",
+        "    status: 2 cells differ",
+    ]
+
+
+def test_column_moves_needs_same_header_and_rows(tmp_path):
+    assert artifact_diff.column_moves(*_pair(tmp_path, "a,b\n1,2\n", "a,c\n1,3\n")) == []
+    assert artifact_diff.column_moves(*_pair(tmp_path, "a,b\n1,2\n", "a,b\n1,2\n1,3\n")) == []
+    assert artifact_diff.column_moves(*_pair(tmp_path, "a,b\n1,2\n", "a,b\n1,2,3\n")) == []
+
+
+def test_differing_files_lists_column_moves_under_the_file(tmp_path):
+    for side, value in (("parent", "0.25"), ("change", "0.5")):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "roc.csv").write_text(f"fpr,threshold\n0.0,{value}\n")
+        (tmp_path / side / "same.json").write_text("{}")
+    (tmp_path / "parent" / "gone.txt").write_text("x")
+    assert artifact_diff.differing_files(tmp_path / "parent", tmp_path / "change") == [
+        ("only in parent: gone.txt", []),
+        ("differs: roc.csv", ["    threshold: max |change| 0.25"]),
+    ]

@@ -12,7 +12,11 @@ echoes the workdir. The commands are:
   ``n_case = n_control = 1000``, seed 0.
 
 Every file the two trees write is compared byte for byte. Each file that
-differs, or exists on one side only, is listed. The exit status is 1 if any
+differs, or exists on one side only, is listed. Under a differing CSV with
+the same header and row count on both sides, each column that moved is
+listed too: with its largest absolute change when every differing cell is a
+finite number on both sides, and with its count of differing cells when
+not. The exit status is 1 if any
 file is listed or any command fails, and 0 otherwise. The outputs are kept
 for inspection unless both trees wrote the same bytes.
 """
@@ -20,6 +24,7 @@ for inspection unless both trees wrote the same bytes.
 from __future__ import annotations
 
 import filecmp
+import math
 import os
 import shutil
 import subprocess
@@ -70,16 +75,50 @@ def relative_files(top: Path) -> set[Path]:
     return {path.relative_to(top) for path in top.rglob("*") if path.is_file()}
 
 
-def differing_files(parent: Path, change: Path) -> list[str]:
+def _finite(cell: str) -> float | None:
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def column_moves(parent: Path, change: Path) -> list[str]:
+    """One line per column that differs between two CSVs of one shape.
+
+    Returns no lines when the headers, row counts or row widths differ.
+    """
+    old, new = ([line.split(",") for line in path.read_text().splitlines()] for path in (parent, change))
+    if not old or len(old) != len(new) or old[0] != new[0]:
+        return []
+    width = len(old[0])
+    if any(len(row) != width for row in old + new):
+        return []
+    moves = []
+    for col, name in enumerate(old[0]):
+        pairs = [(a[col], b[col]) for a, b in zip(old[1:], new[1:]) if a[col] != b[col]]
+        if not pairs:
+            continue
+        numbers = [(_finite(a), _finite(b)) for a, b in pairs]
+        if all(a is not None and b is not None for a, b in numbers):
+            moves.append(f"    {name}: max |change| {max(abs(b - a) for a, b in numbers):.2g}")
+        else:
+            moves.append(f"    {name}: {len(pairs)} cells differ")
+    return moves
+
+
+def differing_files(parent: Path, change: Path) -> list[tuple[str, list[str]]]:
+    """(listing, column moves) for each file that differs or exists on one side."""
     parent_files, change_files = relative_files(parent), relative_files(change)
     listed = []
     for rel in sorted(parent_files | change_files):
         if rel not in change_files:
-            listed.append(f"only in parent: {rel}")
+            listed.append((f"only in parent: {rel}", []))
         elif rel not in parent_files:
-            listed.append(f"only in change: {rel}")
+            listed.append((f"only in change: {rel}", []))
         elif not filecmp.cmp(parent / rel, change / rel, shallow=False):
-            listed.append(f"differs: {rel}")
+            moves = column_moves(parent / rel, change / rel) if rel.suffix == ".csv" else []
+            listed.append((f"differs: {rel}", moves))
     return listed
 
 
@@ -99,8 +138,8 @@ def main(argv: list[str]) -> int:
         work.rename(root / side)
     listed = differing_files(root / "parent", root / "change")
     n_files = len(relative_files(root / "parent") | relative_files(root / "change"))
-    for line in listed:
-        print(line)
+    for line, moves in listed:
+        print("\n".join([line, *moves]))
     print(f"{n_files} files compared, {len(listed)} listed, {failed} commands failed")
     if listed or failed:
         print(f"outputs kept in {root}")
