@@ -9,14 +9,12 @@ events strictly before the index day may feed features downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CapacityError, ParseError
-from .events import EventRecord, EventTable
+from .events import EVENT_KINDS, EventTable
 from .tables import check_unique_ids, read_table, write_table
 
 CASE = "CASE"
@@ -24,13 +22,22 @@ CONTROL = "CONTROL"
 
 COHORT_HEADER = "patient_id,index_day,label"
 
+_FAILURE = EVENT_KINDS.index("AED_FAILURE")
+
 
 @dataclass(frozen=True)
 class PatientTimeline:
-    """All events for one patient, in day order."""
+    """All events for one patient, in day order.
+
+    The events may be given as any iterable of EventRecord; they are held as
+    an EventTable, which iterates, indexes and slices as records.
+    """
 
     patient_id: str
-    events: tuple[EventRecord, ...]
+    events: EventTable
+
+    def __post_init__(self):
+        object.__setattr__(self, "events", EventTable.coerce(self.events))
 
 
 @dataclass(frozen=True)
@@ -55,17 +62,28 @@ class LabeledCohort:
 
 
 def build_timelines(table: EventTable) -> list[PatientTimeline]:
-    """Group a table into one timeline per patient, in table (id) order."""
-    return [PatientTimeline(pid, tuple(events)) for pid, events in groupby(table, attrgetter("patient_id"))]
+    """Group a table into one timeline per patient, in table (id) order.
+
+    Each timeline's events are a slice of the table's columns, not a copy.
+    """
+    if not len(table):
+        return []
+    bounds = [0, *(np.flatnonzero(np.diff(table.patient)) + 1).tolist(), len(table)]
+    first = table.patient[bounds[:-1]].tolist()
+    return [
+        PatientTimeline(table.ids[p], table.take(slice(start, stop)))
+        for p, start, stop in zip(first, bounds, bounds[1:])
+    ]
 
 
 def label_patient(timeline: PatientTimeline) -> LabeledPatient | None:
     """Apply the case/control rule; None means the patient is excluded."""
-    failure_days = [e.day for e in timeline.events if e.event_kind == "AED_FAILURE"]
-    if not failure_days:
+    events = timeline.events
+    failure_days = events.day[events.kind == _FAILURE]
+    if not failure_days.size:
         return None
-    index_day = min(failure_days)
-    future = sum(1 for d in failure_days if d > index_day)
+    index_day = int(failure_days.min())
+    future = int(np.count_nonzero(failure_days > index_day))
     if future >= 4:
         return LabeledPatient(timeline.patient_id, index_day, CASE)
     if future == 0 and len(failure_days) == 1:
@@ -77,9 +95,10 @@ def label_timelines(timelines: list[PatientTimeline]) -> list[LabeledPatient]:
     return [lp for t in timelines if (lp := label_patient(t)) is not None]
 
 
-def pre_index_events(timeline: PatientTimeline, index_day: int) -> list[EventRecord]:
+def pre_index_events(timeline: PatientTimeline, index_day: int) -> EventTable:
     """Events strictly before the index day; index-day events are excluded."""
-    return [e for e in timeline.events if e.day < index_day]
+    events = timeline.events
+    return events.take(events.day < index_day)
 
 
 def sample_cohort(labeled: list[LabeledPatient], n_per_class: int, seed: int) -> LabeledCohort:

@@ -3,22 +3,43 @@
 An event stream is a flat list of (patient_id, event_kind, code, day) rows.
 Days are non-negative integer offsets from an arbitrary per-dataset origin,
 so no calendar arithmetic ever enters the picture.
+
+A table holds the stream as four integer columns rather than one object per
+row; EventRecord objects are built only when a table is iterated, indexed or
+sliced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ParseError
-from .tables import read_table, write_table
+from .tables import encode, first_invalid, read_table, write_table
 
 # The four kinds a record may carry. AED_FAILURE marks the failure of an
 # anti-epileptic drug course; the other three are ordinary clinical events.
+# The tuple is sorted, so a kind's index orders like its name.
 EVENT_KINDS = ("AED_FAILURE", "DIAGNOSIS", "DRUG", "PROCEDURE")
+_KIND_INDEX = {kind: i for i, kind in enumerate(EVENT_KINDS)}
 
 EVENTS_HEADER = "patient_id,event_kind,code,day"
+
+# A table stores days as int64.
+MAX_DAY = int(np.iinfo(np.int64).max)
+
+
+def _is_name(value: str) -> bool:
+    return bool(value) and "," not in value and "\n" not in value
+
+
+def _check_name(label: str, value: str) -> None:
+    if not _is_name(value):
+        raise ValueError(f"{label} must be non-empty and free of separators, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -31,64 +52,199 @@ class EventRecord:
     day: int
 
     def __post_init__(self):
-        for label, value in (("patient_id", self.patient_id), ("code", self.code)):
-            if not value or "," in value or "\n" in value:
-                raise ValueError(f"{label} must be non-empty and free of separators, got {value!r}")
+        _check_name("patient_id", self.patient_id)
+        _check_name("code", self.code)
         if self.event_kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.event_kind!r}")
-        if isinstance(self.day, bool) or not isinstance(self.day, int) or self.day < 0:
-            raise ValueError(f"day must be a non-negative integer, got {self.day!r}")
+        if isinstance(self.day, bool) or not isinstance(self.day, int) or not 0 <= self.day <= MAX_DAY:
+            raise ValueError(f"day must be a non-negative 64-bit integer, got {self.day!r}")
 
 
-def _sort_key(rec: EventRecord):
-    return (rec.patient_id, rec.day, rec.event_kind, rec.code)
+def _sorted_dictionary(label: str, names: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Validate a dictionary of distinct names; return it sorted, and each old index's new one."""
+    for name in names:
+        _check_name(label, name)
+    order = sorted(range(len(names)), key=names.__getitem__)
+    ranked = tuple(names[i] for i in order)
+    if len(set(ranked)) != len(ranked):
+        raise ValueError(f"{label} dictionary repeats a value")
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[order] = np.arange(len(names))
+    return ranked, rank
+
+
+def _indices(label: str, column, size: int) -> np.ndarray:
+    column = np.asarray(column, dtype=np.int64).reshape(-1)
+    if column.size and (column.min() < 0 or column.max() >= size):
+        raise ValueError(f"{label} index out of range [0, {size})")
+    return column
+
+
+def _canonical_order(patient, kind, code, day, n_ids: int, n_codes: int) -> np.ndarray:
+    """The row order sorted by (patient, day, kind, code) index.
+
+    When the four ranges multiply to less than 2**63 the columns pack into
+    one int64 key, whose stable argsort is fast on the presorted rows that
+    read_events and the generator supply; otherwise one lexsort.
+    """
+    span = int(day.max()) + 1 if day.size else 1
+    if n_ids * span * len(EVENT_KINDS) * n_codes < 2**63:
+        key = ((patient * span + day) * len(EVENT_KINDS) + kind) * n_codes + code
+        return np.argsort(key, kind="stable")
+    return np.lexsort((code, kind, day, patient))
 
 
 class EventTable:
-    """An event stream held in canonical order.
+    """An event stream held in canonical order, as integer columns.
 
-    Records are stable-sorted by (patient_id, day, event_kind, code) on
-    construction, so two tables built from the same multiset of records
-    compare equal regardless of input order.
+    Row i is (ids[patient[i]], EVENT_KINDS[kind[i]], codes[code[i]], day[i]).
+    Rows are sorted by (patient_id, day, event_kind, code) on construction,
+    so two tables built from the same multiset of records compare equal
+    regardless of input order. `ids` and `codes` are sorted tuples of
+    distinct names, so sorting the index columns sorts the rows by name.
+    A view made by `take` shares them and need not use every entry.
+
+    Iterating yields EventRecord objects; an int index gives one record and
+    a slice a tuple of them. A table also compares equal to a list or tuple
+    of the same records in the same order.
     """
 
-    def __init__(self, records: Iterable[EventRecord]):
-        self.records: tuple[EventRecord, ...] = tuple(sorted(records, key=_sort_key))
+    def __init__(self, records: Iterable[EventRecord] = ()):
+        records = list(records)
+        ids, patient = encode([rec.patient_id for rec in records])
+        codes, code = encode([rec.code for rec in records])
+        kind = [_KIND_INDEX[rec.event_kind] for rec in records]
+        day = np.array([rec.day for rec in records], dtype=np.int64)
+        self._canonical(ids, codes, patient, kind, code, day)
+
+    @classmethod
+    def from_columns(cls, ids: Sequence[str], codes: Sequence[str], patient, kind, code, day) -> EventTable:
+        """A table from index columns: patient indexes ids, code indexes codes
+        and kind indexes EVENT_KINDS. The dictionaries hold distinct valid
+        names in any order; days are non-negative. Rows may come in any order.
+        """
+        table = cls.__new__(cls)
+        table._canonical(ids, codes, patient, kind, code, day)
+        return table
+
+    def _canonical(self, ids, codes, patient, kind, code, day) -> None:
+        ids, id_rank = _sorted_dictionary("patient_id", ids)
+        codes, code_rank = _sorted_dictionary("code", codes)
+        patient = id_rank[_indices("patient", patient, len(ids))]
+        code = code_rank[_indices("code", code, len(codes))]
+        kind = _indices("kind", kind, len(EVENT_KINDS))
+        day = np.asarray(day, dtype=np.int64).reshape(-1)
+        if not len(patient) == len(kind) == len(code) == len(day):
+            raise ValueError("columns differ in length")
+        if day.size and day.min() < 0:
+            raise ValueError("day must be non-negative")
+        order = _canonical_order(patient, kind, code, day, len(ids), len(codes))
+        self._assign(ids, codes, patient[order], kind[order], code[order], day[order])
+
+    def _assign(self, ids, codes, patient, kind, code, day) -> None:
+        # Views share their columns, so no holder may write to them.
+        for column in (patient, kind, code, day):
+            column.flags.writeable = False
+        self.ids: tuple[str, ...] = ids
+        self.codes: tuple[str, ...] = codes
+        self.patient: np.ndarray = patient
+        self.kind: np.ndarray = kind
+        self.code: np.ndarray = code
+        self.day: np.ndarray = day
+
+    @classmethod
+    def coerce(cls, events: EventTable | Iterable[EventRecord]) -> EventTable:
+        """The table itself, or a new table of the given records."""
+        return events if isinstance(events, EventTable) else cls(events)
+
+    def take(self, rows: slice | np.ndarray) -> EventTable:
+        """The rows picked by a slice or a boolean mask, in table order, over
+        the same dictionaries. A slice shares the columns without a copy."""
+        view = EventTable.__new__(EventTable)
+        view._assign(self.ids, self.codes, self.patient[rows], self.kind[rows], self.code[rows], self.day[rows])
+        return view
+
+    def columns(self) -> tuple[list[str], list[str], list[str], list[int]]:
+        """The decoded (patient_id, event_kind, code, day) columns, as lists."""
+        return (
+            np.array(self.ids, dtype=object)[self.patient].tolist(),
+            np.array(EVENT_KINDS, dtype=object)[self.kind].tolist(),
+            np.array(self.codes, dtype=object)[self.code].tolist(),
+            self.day.tolist(),
+        )
+
+    @property
+    def records(self) -> tuple[EventRecord, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.day)
 
     def __iter__(self) -> Iterator[EventRecord]:
-        return iter(self.records)
+        return starmap(EventRecord, zip(*self.columns()))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self.take(index))
+        i = range(len(self))[index]
+        return EventRecord(
+            self.ids[self.patient[i]], EVENT_KINDS[self.kind[i]], self.codes[self.code[i]], int(self.day[i])
+        )
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, EventTable):
-            return NotImplemented
-        return self.records == other.records
+        if isinstance(other, EventTable):
+            return len(self) == len(other) and self.columns() == other.columns()
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
 
     def __repr__(self) -> str:
-        return f"EventTable({len(self.records)} records)"
+        return f"EventTable({len(self)} records)"
 
     def patient_ids(self) -> list[str]:
         """Distinct patient ids in table order."""
-        return list(dict.fromkeys(rec.patient_id for rec in self.records))
+        return [self.ids[i] for i in dict.fromkeys(self.patient.tolist())]
+
+
+def _is_day(field: str) -> bool:
+    return field.isascii() and field.isdigit() and int(field) <= MAX_DAY
+
+
+def _row_error(pid: str, kind: str, code: str, day_field: str) -> str:
+    if not (day_field.isascii() and day_field.isdigit()):
+        return f"day must be a non-negative integer, got {day_field!r}"
+    try:
+        EventRecord(pid, kind, code, int(day_field))
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("row passed the record checks")
 
 
 def read_events(path: str | Path) -> EventTable:
-    """Read an event CSV. Raises ParseError with the offending line number."""
+    """Read an event CSV. Raises ParseError with the line of the first bad row.
+
+    The body is split once and each column dictionary-encoded; the checks
+    run on each column's distinct values only.
+    """
     _, lines = read_table(path, EVENTS_HEADER)
-    records = []
-    for lineno, line in enumerate(lines, start=2):
-        pid, kind, code, day_field = line.split(",")
-        if not (day_field.isascii() and day_field.isdigit()):
-            raise ParseError(lineno, f"day must be a non-negative integer, got {day_field!r}")
-        try:
-            records.append(EventRecord(pid, kind, code, int(day_field)))
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from exc
-    return EventTable(records)
+    body = ",".join(lines)
+    del lines  # the row strings are dropped before the cells are made
+    cells = body.split(",") if body else []
+    del body
+    columns = [encode(cells[i::4]) for i in range(4)]
+    del cells
+    checks = (_is_name, _KIND_INDEX.__contains__, _is_name, _is_day)
+    bad = [first_invalid(names, index, valid) for (names, index), valid in zip(columns, checks)]
+    first = min((row for row in bad if row is not None), default=None)
+    if first is not None:
+        raise ParseError(first + 2, _row_error(*(names[index[first]] for names, index in columns)))
+    (ids, patient), (kinds, kind), (codes, code), (days, day) = columns
+    kind = np.array([_KIND_INDEX[name] for name in kinds], dtype=np.int64)[kind]
+    day = np.array([int(field) for field in days], dtype=np.int64)[day]
+    return EventTable.from_columns(ids, codes, patient, kind, code, day)
 
 
 def write_events(table: EventTable, path: str | Path) -> None:
     """Write an event CSV; read_events(write_events(t)) round-trips exactly."""
-    write_table(path, EVENTS_HEADER, (f"{r.patient_id},{r.event_kind},{r.code},{r.day}" for r in table))
+    pids, kinds, codes, days = table.columns()
+    write_table(path, EVENTS_HEADER, map(",".join, zip(pids, kinds, codes, map(str, days))))

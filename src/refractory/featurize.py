@@ -15,8 +15,12 @@ import numpy as np
 
 from .cohort import CASE, CONTROL, LabeledCohort, PatientTimeline, pre_index_events
 from .errors import ParseError
-from .events import EVENT_KINDS, EventRecord
-from .tables import check_unique_ids, read_table, write_table
+from .events import EVENT_KINDS, EventRecord, EventTable
+from .tables import check_unique_ids, encode, first_invalid, read_table, write_table
+
+
+def _is_count(cell: str) -> bool:
+    return cell.isascii() and cell.isdigit() and int(cell) <= np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -39,9 +43,21 @@ class FeatureVocabulary:
         return [f"{kind}:{code}" for kind, code in self.keys]
 
 
-def build_vocabulary(event_lists: Iterable[Sequence[EventRecord]]) -> FeatureVocabulary:
+def _by_dictionary(tables: dict, events: EventTable, make) -> np.ndarray:
+    """The array `make(codes)` kept per code dictionary; a pipeline's timelines share one."""
+    key = id(events.codes)
+    if key not in tables:
+        tables[key] = (events.codes, make(events.codes))  # the tuple keeps the id in use
+    return tables[key][1]
+
+
+def build_vocabulary(event_lists: Iterable[EventTable | Sequence[EventRecord]]) -> FeatureVocabulary:
     """Collect the distinct (kind, code) pairs seen across the given events."""
-    keys = {(e.event_kind, e.code) for events in event_lists for e in events}
+    seen: dict = {}
+    for events in map(EventTable.coerce, event_lists):
+        mask = _by_dictionary(seen, events, lambda codes: np.zeros((len(EVENT_KINDS), len(codes)), dtype=bool))
+        mask[events.kind, events.code] = True
+    keys = {(EVENT_KINDS[k], codes[c]) for codes, mask in seen.values() for k, c in np.argwhere(mask).tolist()}
     return FeatureVocabulary(tuple(sorted(keys)))
 
 
@@ -83,15 +99,29 @@ def featurize(
     (kind, code) is outside the vocabulary are dropped.
     """
     index = vocabulary.index()
-    values = np.zeros((len(cohort.patients), len(vocabulary)), dtype=np.int64)
-    for row, patient in enumerate(cohort.patients):
+
+    def column_of(codes: tuple[str, ...]) -> np.ndarray:
+        # Vocabulary column of each (kind, code index) pair, -1 outside it.
+        lookup = np.full((len(EVENT_KINDS), len(codes)), -1, dtype=np.int64)
+        position = {code: i for i, code in enumerate(codes)}
+        for (kind, code), col in index.items():
+            if code in position:
+                lookup[EVENT_KINDS.index(kind), position[code]] = col
+        return lookup
+
+    lookups: dict = {}
+    cols = []
+    for patient in cohort.patients:
         timeline = timelines.get(patient.patient_id)
         if timeline is None:
             raise ValueError(f"no timeline for patient {patient.patient_id!r}")
-        for event in pre_index_events(timeline, patient.index_day):
-            col = index.get((event.event_kind, event.code))
-            if col is not None:
-                values[row, col] += 1
+        window = pre_index_events(timeline, patient.index_day)
+        cols.append(_by_dictionary(lookups, window, column_of)[window.kind, window.code])
+    n_rows, n_cols = len(cohort.patients), len(vocabulary)
+    rows = np.repeat(np.arange(n_rows), [len(c) for c in cols])
+    cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
+    keep = cols >= 0
+    values = np.bincount(rows[keep] * n_cols + cols[keep], minlength=n_rows * n_cols).reshape(n_rows, n_cols)
     return FeatureMatrix(list(cohort.ids()), vocabulary, values, list(cohort.labels()))
 
 
@@ -120,20 +150,22 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
     except ValueError as exc:  # columns out of order or repeated
         raise ParseError(1, str(exc)) from None
 
-    row_ids: list[str] = []
-    labels: list[str] | None = [] if has_labels else None
-    values = np.zeros((len(lines), len(keys)), dtype=np.int64)
-    for row, line in enumerate(lines):
-        fields = line.split(",")
-        row_ids.append(fields[0])
-        if labels is not None:
-            if fields[1] not in (CASE, CONTROL):
-                raise ParseError(row + 2, f"unknown label {fields[1]!r}")
-            labels.append(fields[1])
-        counts = fields[first_col:]
-        for cell in counts:
-            if not (cell.isascii() and cell.isdigit()):
-                raise ParseError(row + 2, f"counts must be non-negative integers, got {cell!r}")
-        values[row] = list(map(int, counts))
+    # One split of the body; labels and counts are dictionary-encoded and
+    # checked on their distinct values. The first bad row is reported, its
+    # label before its counts.
+    cells = np.array(",".join(lines).split(",") if lines else [], dtype=object).reshape(len(lines), len(header))
+    row_ids = cells[:, 0].tolist()
+    labels = cells[:, 1].tolist() if has_labels else None
+    label_names, label_index = encode(labels or [])
+    count_names, count_index = encode(cells[:, first_col:].ravel().tolist())
+    bad_label = first_invalid(label_names, label_index, (CASE, CONTROL).__contains__)
+    bad_count = first_invalid(count_names, count_index, _is_count)
+    if bad_count is not None and (bad_label is None or bad_count // len(keys) < bad_label):
+        cell = count_names[count_index[bad_count]]
+        raise ParseError(bad_count // len(keys) + 2, f"counts must be non-negative integers, got {cell!r}")
+    if bad_label is not None:
+        raise ParseError(bad_label + 2, f"unknown label {label_names[label_index[bad_label]]!r}")
+    values = np.array([int(cell) for cell in count_names], dtype=np.int64)[count_index]
+    values = values.reshape(len(lines), len(keys))
     check_unique_ids(row_ids)
     return FeatureMatrix(row_ids, vocabulary, values, labels)

@@ -3,9 +3,17 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import ConvergenceError
+
+
+def eigsh(A: np.ndarray, **kwargs):
+    """scipy's ARPACK `eigsh`, imported on the first Lanczos solve: importing
+    scipy.sparse takes about 0.2 s, which a process that never needs a top-k
+    solve should not pay."""
+    from scipy.sparse.linalg import eigsh as arpack_eigsh
+
+    return arpack_eigsh(A, **kwargs)
 
 
 def symmetric_eig(matrix: np.ndarray, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -35,6 +43,8 @@ def symmetric_eig(matrix: np.ndarray, k: int | None = None) -> tuple[np.ndarray,
     if k is None or 2 * k >= n or not A.any():
         values, vectors = np.linalg.eigh(A)
     else:
+        from scipy.sparse.linalg import ArpackNoConvergence
+
         # Not the ones vector: a centered Gram maps it to zero, which would
         # start the Krylov space in the null space the caller discards.
         v0 = np.random.default_rng(0).standard_normal(n)

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import classify
 from .tables import format_row, write_json, write_table
@@ -91,6 +90,8 @@ def expected_mutual_info(table: ContingencyTable) -> float:
     model; the sum runs over all feasible cell values, with factorials via
     log-gamma.
     """
+    from scipy.special import gammaln  # deferred: only AMI needs scipy here
+
     n = table.n
     emi = 0.0
     lgn = gammaln(n + 1)

@@ -12,8 +12,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import ConnectivityError, ConvergenceError, ParseError
 from .linalg import pairwise_sq_dists, symmetric_eig
@@ -298,6 +296,10 @@ def _fit_ica(X: np.ndarray, k: int, seed: int) -> ReducerModel:
 
 
 def _fit_isomap(X: np.ndarray, k: int, n_neighbors: int) -> ReducerModel:
+    # Deferred: scipy.sparse adds about 0.2 s to every process that imports the package.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components, shortest_path
+
     if n_neighbors < 1:
         raise ValueError("n_neighbors must be positive")
     n = X.shape[0]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventRecord, EventTable
+from .events import EVENT_KINDS, EventTable
 
 TIMELINE_DAYS = 360
 
@@ -121,18 +121,20 @@ def generate_events(config: GeneratorConfig) -> EventTable:
     scales = code_scales(config.n_signal_codes)
     lo, hi = config.shell_radii
     n_signal = config.n_signal_codes
-    # Row 0 is the AED failure; row 1 + i is generator code i.
-    code_table = [("AED_FAILURE", "AED")]
-    code_table += [(_code_kind(i, n_signal), code) for i, code in enumerate(config.code_names())]
+    # Row 0 is the AED failure; row 1 + i is generator code i. An event
+    # stores its row, which is also its code's index in the dictionary.
+    codes = ["AED", *config.code_names()]
+    row_kind = [EVENT_KINDS.index("AED_FAILURE")]
+    row_kind += [EVENT_KINDS.index(_code_kind(i, n_signal)) for i in range(config.n_codes)]
 
-    records: list[EventRecord] = []
+    patient_rows: list[np.ndarray] = []
+    patient_days: list[np.ndarray] = []
     lo_third = TIMELINE_DAYS // 3
     hi_third = 2 * TIMELINE_DAYS // 3
 
-    patients = [(f"case-{i:04d}", True) for i in range(config.n_case)]
-    patients += [(f"ctrl-{i:04d}", False) for i in range(config.n_control)]
+    ids = [f"case-{i:04d}" for i in range(config.n_case)] + [f"ctrl-{i:04d}" for i in range(config.n_control)]
 
-    for patient_id, is_case in patients:
+    for is_case in [True] * config.n_case + [False] * config.n_control:
         index_day = int(rng.integers(lo_third, hi_third))
 
         # AED failure schedule: the index failure, plus >= 4 later ones for cases.
@@ -162,9 +164,10 @@ def generate_events(config: GeneratorConfig) -> EventTable:
         bg_counts = rng.poisson(BACKGROUND_RATE, size=config.n_codes - n_signal)
         bg_days = rng.integers(0, TIMELINE_DAYS, size=bg_counts.sum())
 
-        rows = np.repeat(np.arange(len(code_table)), np.concatenate(([len(failure_days)], counts, bg_counts)))
-        days = np.concatenate((failure_days, signal_days, bg_days))
-        for row, day in zip(rows.tolist(), days.tolist()):
-            records.append(EventRecord(patient_id, *code_table[row], day))
+        code_counts = np.concatenate(([len(failure_days)], counts, bg_counts))
+        patient_rows.append(np.repeat(np.arange(len(codes)), code_counts))
+        patient_days.append(np.concatenate((failure_days, signal_days, bg_days)))
 
-    return EventTable(records)
+    rows = np.concatenate(patient_rows)
+    patient = np.repeat(np.arange(len(ids)), [len(r) for r in patient_rows])
+    return EventTable.from_columns(ids, codes, patient, np.take(row_kind, rows), rows, np.concatenate(patient_days))

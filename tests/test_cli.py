@@ -309,3 +309,20 @@ def test_bad_config_fails_before_any_stage(tmp_path, capsys, settings):
     assert main(["run-all", "--config", str(cfg)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (workdir / EVENTS_FILE).exists()
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported where a fit needs it, so the synth, cohort and
+    # featurize stages never pay for it.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import refractory
+
+    src = str(Path(refractory.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, refractory.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
