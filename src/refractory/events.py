@@ -109,7 +109,7 @@ class EventTable:
     of the same records in the same order.
     """
 
-    def __init__(self, records: Iterable[EventRecord] = ()):
+    def __init__(self, records: Iterable[EventRecord]):
         records = list(records)
         ids, patient = encode([rec.patient_id for rec in records])
         codes, code = encode([rec.code for rec in records])
