@@ -80,20 +80,6 @@ def _indices(label: str, column, size: int) -> np.ndarray:
     return column
 
 
-def _canonical_order(patient, kind, code, day, n_ids: int, n_codes: int) -> np.ndarray:
-    """The row order sorted by (patient, day, kind, code) index.
-
-    When the four ranges multiply to less than 2**63 the columns pack into
-    one int64 key, whose stable argsort is fast on the presorted rows that
-    read_events and the generator supply; otherwise one lexsort.
-    """
-    span = int(day.max()) + 1 if day.size else 1
-    if n_ids * span * len(EVENT_KINDS) * n_codes < 2**63:
-        key = ((patient * span + day) * len(EVENT_KINDS) + kind) * n_codes + code
-        return np.argsort(key, kind="stable")
-    return np.lexsort((code, kind, day, patient))
-
-
 class EventTable:
     """An event stream held in canonical order, as integer columns.
 
@@ -138,7 +124,7 @@ class EventTable:
             raise ValueError("columns differ in length")
         if day.size and day.min() < 0:
             raise ValueError("day must be non-negative")
-        order = _canonical_order(patient, kind, code, day, len(ids), len(codes))
+        order = np.lexsort((code, kind, day, patient))
         self._assign(ids, codes, patient[order], kind[order], code[order], day[order])
 
     def _assign(self, ids, codes, patient, kind, code, day) -> None:

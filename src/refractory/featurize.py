@@ -15,7 +15,7 @@ import numpy as np
 
 from .cohort import CASE, CONTROL, LabeledCohort, PatientTimeline, pre_index_events
 from .errors import ParseError
-from .events import EVENT_KINDS, EventRecord, EventTable
+from .events import _KIND_INDEX, EVENT_KINDS, EventRecord, EventTable
 from .tables import check_unique_ids, encode, first_invalid, read_table, write_table
 
 
@@ -101,12 +101,13 @@ def featurize(
     index = vocabulary.index()
 
     def column_of(codes: tuple[str, ...]) -> np.ndarray:
-        # Vocabulary column of each (kind, code index) pair, -1 outside it.
+        # Vocabulary column of each (kind, code index) pair, -1 outside it;
+        # a key whose kind or code no event has keeps a zero column.
         lookup = np.full((len(EVENT_KINDS), len(codes)), -1, dtype=np.int64)
         position = {code: i for i, code in enumerate(codes)}
         for (kind, code), col in index.items():
-            if code in position:
-                lookup[EVENT_KINDS.index(kind), position[code]] = col
+            if code in position and kind in _KIND_INDEX:
+                lookup[_KIND_INDEX[kind], position[code]] = col
         return lookup
 
     lookups: dict = {}

@@ -163,9 +163,8 @@ def test_timeline_views_behave_like_record_tuples():
         first.events[3]
 
 
-def test_days_too_wide_to_pack_still_sort():
-    # A day range this wide cannot share an int64 sort key with the other
-    # columns, so the table sorts the columns one by one.
+def test_days_up_to_max_day_sort():
+    # Days at the int64 limit sort by value next to small days.
     records = [
         r.EventRecord("p2", "DRUG", "R1", 0),
         r.EventRecord("p1", "DRUG", "R1", r.events.MAX_DAY),
@@ -173,6 +172,23 @@ def test_days_too_wide_to_pack_still_sort():
         r.EventRecord("p1", "DRUG", "R1", 7),
     ]
     assert r.EventTable(records).records == _RecordTable(records).records
+
+
+def test_featurize_gives_unknown_kind_a_zero_column():
+    # A vocabulary key no event can have, here a kind outside EVENT_KINDS
+    # on a code that does occur, counts nothing.
+    table = r.EventTable(
+        [
+            r.EventRecord("a", "DRUG", "R1", 1),
+            r.EventRecord("a", "AED_FAILURE", "AED", 5),
+            r.EventRecord("b", "AED_FAILURE", "AED", 4),
+        ]
+    )
+    timelines = {t.patient_id: t for t in r.build_timelines(table)}
+    cohort = r.LabeledCohort((r.LabeledPatient("a", 5, r.CASE), r.LabeledPatient("b", 4, r.CONTROL)), sampling_seed=0)
+    vocab = r.FeatureVocabulary((("DRUG", "R1"), ("VISIT", "R1")))
+    matrix = r.featurize(cohort, timelines, vocab)
+    np.testing.assert_array_equal(matrix.values, [[1, 0], [0, 0]])
 
 
 def test_columns_are_read_only():
