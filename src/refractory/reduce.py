@@ -247,43 +247,36 @@ def _fit_kpca(X: np.ndarray, k: int, kernel: KernelSpec) -> ReducerModel:
     )
 
 
+def _polar(M: np.ndarray) -> np.ndarray:
+    """The orthogonal polar factor (M Mᵀ)^(-1/2) M of a square matrix, as U Vᵀ."""
+    u, _, vt = np.linalg.svd(M)
+    return u @ vt
+
+
 def _fit_ica(X: np.ndarray, k: int, seed: int) -> ReducerModel:
-    """FastICA by deflation with the logcosh contrast on PCA-whitened data."""
+    """Symmetric FastICA (Hyvärinen, IEEE TNN 1999) with the logcosh contrast on
+    PCA-whitened data: all rows of W step at once, then W becomes its polar factor."""
     pca = _fit_pca(X, k)
     values = pca.eigenvalues
-    if values[k - 1] <= max(values[0], 0.0) * _EIG_TOL_RATIO:
-        raise ValueError(f"data rank is below k={k}; cannot whiten")
+    rank_error = f"data rank is below k={k}; cannot whiten"
+    if _leading_positive(values, k, rank_error) < k:
+        raise ValueError(rank_error)
     whiten = pca.axes / np.sqrt(values)[None, :]
     Z = (X - pca.mean) @ whiten  # unit-variance, uncorrelated columns
 
-    rng = np.random.default_rng(seed)
-    W = np.zeros((k, k))
     n = Z.shape[0]
-    for i in range(k):
-        w = rng.standard_normal(k)
-        w /= np.linalg.norm(w)
-        for iteration in range(1, _ICA_MAX_ITER + 1):
-            u = Z @ w
-            g = np.tanh(u)
-            g_prime = 1.0 - g * g
-            w_new = (Z.T @ g) / n - g_prime.mean() * w
-            w_new -= W[:i].T @ (W[:i] @ w_new)
-            norm = np.linalg.norm(w_new)
-            if norm < 1e-12:
-                w_new = rng.standard_normal(k)
-                w_new -= W[:i].T @ (W[:i] @ w_new)
-                norm = np.linalg.norm(w_new)
-            w_new /= norm
-            if abs(abs(np.dot(w_new, w)) - 1.0) < _ICA_TOL:
-                w = w_new
-                break
-            w = w_new
-        else:
-            raise ConvergenceError(
-                f"ICA component {i} did not converge within {_ICA_MAX_ITER} iterations",
-                iterations=_ICA_MAX_ITER,
-            )
-        W[i] = w
+    W = _polar(np.random.default_rng(seed).standard_normal((k, k)))
+    for _ in range(_ICA_MAX_ITER):
+        G = np.tanh(Z @ W.T)
+        W_old, W = W, _polar((G.T @ Z) / n - (1.0 - G * G).mean(axis=0)[:, None] * W)
+        # Converged when every row kept its direction: |<w_i, w_old_i>| = 1.
+        if np.max(np.abs(np.abs(np.sum(W * W_old, axis=1)) - 1.0)) < _ICA_TOL:
+            break
+    else:
+        raise ConvergenceError(
+            f"ICA did not converge within {_ICA_MAX_ITER} iterations",
+            iterations=_ICA_MAX_ITER,
+        )
 
     unmixing = W @ whiten.T  # sources = (X - mean) @ unmixing.T
     return ReducerModel(

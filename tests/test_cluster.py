@@ -223,6 +223,15 @@ def test_sweep_perfect_structure_scores_one():
         assert cell.adjusted_mutual_info == pytest.approx(1.0, abs=1e-12)
 
 
+def test_sweep_on_warmup_cohort_has_every_cell_ok(generated_counts):
+    # The benchmark's warm-up run-all (40 + 40 patients, restarts = 1) at seed 0,
+    # where deflation FastICA left the 4 ICA cells failed.
+    X, y = generated_counts(40, 0)
+    cells = clustering_sweep(X, y, k=20, n_neighbors=10, seed=0, restarts=1)
+    assert len(cells) == 20
+    assert [(c.reduction, c.method) for c in cells if c.status != "ok"] == []
+
+
 def test_sweep_label_length_mismatch():
     with pytest.raises(ValueError):
         clustering_sweep(np.zeros((4, 2)), [0, 1])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import refractory as r
+from refractory.cluster import _derived_seed
 from refractory.errors import ConnectivityError, ConvergenceError
 from refractory.reduce import LINEAR, RBF
 
@@ -210,6 +211,19 @@ def test_ica_convergence_error_carries_iterations():
         assert err.value.iterations == 1
     finally:
         reduce_mod._ICA_MAX_ITER = old
+
+
+@pytest.mark.parametrize(
+    "n_per_class, seed",
+    # Warm-up seeds 0-3 (a fixed range) and seed 59 at the default 200 + 200,
+    # all of which deflation FastICA failed within _ICA_MAX_ITER.
+    [(40, 0), (40, 1), (40, 2), (40, 3), (200, 59)],
+)
+def test_ica_sweep_fit_converges_on_generated_cohorts(generated_counts, n_per_class, seed):
+    X, _ = generated_counts(n_per_class, seed)
+    model = r.fit_reducer("ICA", X, 20, seed=_derived_seed(seed, 2, 0))
+    sources = r.transform(model, X).values
+    np.testing.assert_allclose(sources.T @ sources / len(X), np.eye(20), atol=1e-8)
 
 
 @pytest.mark.parametrize(
