@@ -60,7 +60,7 @@ from .featurize import (
     read_matrix,
     write_matrix,
 )
-from .linalg import pairwise_sq_dists, symmetric_eig
+from .linalg import default_gamma, pairwise_sq_dists, rbf_gram, symmetric_eig
 from .metrics import (
     ContingencyTable,
     CvReport,
@@ -85,10 +85,8 @@ from .reduce import (
     KernelSpec,
     ReducerModel,
     center_kernel,
-    default_gamma,
     fit_reducer,
     kernel_gram,
-    rbf_kernel,
     read_embedding,
     transform,
     write_embedding,

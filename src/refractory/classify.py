@@ -15,10 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import reduce as reduce_mod
 from . import tree as tree_mod
 from .errors import ConvergenceError
-from .linalg import pairwise_sq_dists
+from .linalg import default_gamma, rbf_gram
 from .tables import write_json
 
 LOGREG = "LOGREG"
@@ -148,7 +147,7 @@ def predict_proba(model: TrainedClassifier, X) -> np.ndarray:
         return sigmoid(margin)  # uncalibrated vote margin through the logistic link
     if model.method == GBDT:
         return sigmoid(decision_score(model, X))
-    K = np.exp(-model.gamma * pairwise_sq_dists(X, model.train_X))
+    K = rbf_gram(X, model.train_X, model.gamma)
     return sigmoid(K @ model.dual_coef + model.intercept)  # uncalibrated margin
 
 
@@ -316,8 +315,8 @@ def _pegasos(
 
 def _fit_svm_rbf(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray) -> TrainedClassifier:
     """The shared loop on the dense RBF Gram of the training rows."""
-    gamma = spec.gamma if spec.gamma is not None else reduce_mod.default_gamma(X)
-    K = np.exp(-gamma * pairwise_sq_dists(X))
+    gamma = spec.gamma if spec.gamma is not None else default_gamma(X)
+    K = rbf_gram(X, None, gamma)
     beta, b = _pegasos(spec, lambda v: K @ v, y)
     return TrainedClassifier(
         SVM_RBF, spec, X.shape[1], train_X=X.copy(), dual_coef=beta, intercept=b, gamma=gamma

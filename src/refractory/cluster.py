@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import reduce as reduce_mod
-from .linalg import pairwise_sq_dists, symmetric_eig
+from .linalg import default_gamma, pairwise_sq_dists, rbf_gram, symmetric_eig
 from .metrics import adjusted_mutual_info, adjusted_rand
 from .tables import format_row, write_table
 
@@ -211,7 +211,7 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 
 def _spectral(X: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
-    affinity = np.exp(-reduce_mod.default_gamma(X) * pairwise_sq_dists(X))
+    affinity = rbf_gram(X, None, default_gamma(X))
     np.fill_diagonal(affinity, 0.0)
     degrees = affinity.sum(axis=1)
     degrees = np.maximum(degrees, 1e-300)

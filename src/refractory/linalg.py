@@ -1,4 +1,4 @@
-"""Small dense linear-algebra helpers shared by the reducers and clusterers."""
+"""Small dense linear-algebra helpers: eigensolver, distances, the RBF kernel."""
 
 from __future__ import annotations
 
@@ -74,3 +74,26 @@ def pairwise_sq_dists(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     y2 = np.sum(Y * Y, axis=1)[None, :]
     d2 = x2 + y2 - 2.0 * (X @ Y.T)
     return np.maximum(d2, 0.0)
+
+
+def rbf_gram(X: np.ndarray, Y: np.ndarray | None, gamma: float) -> np.ndarray:
+    """RBF Gram exp(-gamma * ||x - y||^2) between rows of X and rows of Y
+    (Y None: X), scaled and exponentiated in place on the distance buffer so
+    one n x m array is live."""
+    K = pairwise_sq_dists(X, Y)
+    np.multiply(K, -gamma, out=K)
+    return np.exp(K, out=K)
+
+
+def default_gamma(X: np.ndarray) -> float:
+    """Kernel width 1 / (n_features * mean per-feature variance).
+
+    Falls back to 1 / n_features when the data is constant.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.shape[1] == 0:
+        raise ValueError("need at least one feature column to derive a kernel width")
+    mean_var = float(np.var(X, axis=0).mean())
+    if mean_var <= 0.0:
+        return 1.0 / X.shape[1]
+    return 1.0 / (X.shape[1] * mean_var)

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConnectivityError, ConvergenceError, ParseError
-from .linalg import pairwise_sq_dists, symmetric_eig
+from .linalg import default_gamma, pairwise_sq_dists, rbf_gram, symmetric_eig
 from .tables import check_unique_ids, format_row, read_table, write_table
 
 LINEAR = "LINEAR"
@@ -29,18 +29,6 @@ _ICA_TOL = 1e-4
 _ICA_MAX_ITER = 200
 
 
-def default_gamma(X: np.ndarray) -> float:
-    """Kernel width 1 / (n_features * mean per-feature variance).
-
-    Falls back to 1 / n_features when the data is constant.
-    """
-    X = np.asarray(X, dtype=float)
-    mean_var = float(np.var(X, axis=0).mean())
-    if mean_var <= 0.0:
-        return 1.0 / X.shape[1]
-    return 1.0 / (X.shape[1] * mean_var)
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     kind: str = RBF
@@ -53,18 +41,12 @@ class KernelSpec:
             raise ValueError("gamma must be positive")
 
 
-def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> float:
-    """exp(-gamma * ||a - b||^2) for two vectors."""
-    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return float(np.exp(-gamma * np.dot(diff, diff)))
-
-
 def kernel_gram(X: np.ndarray, Y: np.ndarray | None, spec: KernelSpec, gamma: float) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     Y = X if Y is None else np.asarray(Y, dtype=float)
     if spec.kind == LINEAR:
         return X @ Y.T
-    return np.exp(-gamma * pairwise_sq_dists(X, Y))
+    return rbf_gram(X, Y, gamma)
 
 
 def center_kernel(K: np.ndarray) -> np.ndarray:

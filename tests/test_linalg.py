@@ -1,13 +1,19 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from refractory import linalg
-from refractory.cluster import clustering_sweep
+from refractory.classify import SVM_RBF, ClassifierSpec, fit_classifier
+from refractory.cluster import SPECTRAL, ClusterConfig, clustering_sweep, fit_clusters
 from refractory.errors import ConvergenceError
-from refractory.linalg import pairwise_sq_dists, symmetric_eig
+from refractory.linalg import pairwise_sq_dists, rbf_gram, symmetric_eig
+from refractory.reduce import fit_reducer
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "refractory"
 
 
 def test_eig_residual_bound():
@@ -195,3 +201,66 @@ def test_sweep_records_lanczos_failure(monkeypatch):
     assert status[("none", "KMEANS")] == "ok"
     for cell in [("none", "SPECTRAL"), ("KPCA", "KMEANS"), ("KPCA", "SPECTRAL")]:
         assert status[cell].startswith("failed: Lanczos did not find")
+
+
+def test_rbf_gram_values():
+    assert rbf_gram(np.array([[1, 2]]), np.array([[1, 2]]), 3.0)[0, 0] == 1.0
+    assert abs(rbf_gram(np.array([[0]]), np.array([[1]]), 1.0)[0, 0] - np.exp(-1.0)) < 1e-15
+    assert abs(rbf_gram(np.array([[1, 2]]), np.array([[3, 4]]), 0.5)[0, 0] - np.exp(-4.0)) < 1e-15
+
+
+@pytest.mark.parametrize("n, m, d", [(343, None, 20), (60, 25, 20), (40, 30, 500)])
+def test_rbf_gram_matches_the_out_of_place_formula(n, m, d):
+    rng = np.random.default_rng(n)
+    X = rng.poisson(0.5, size=(n, d)).astype(float)
+    Y = None if m is None else rng.normal(size=(m, d))
+    X0 = X.copy()
+    Y0 = None if Y is None else Y.copy()
+    gamma = 1.0 / (d * 0.7)
+    K = rbf_gram(X, Y, gamma)
+    expected = np.exp(-gamma * pairwise_sq_dists(X, Y))
+    assert K.shape == expected.shape
+    assert K.tobytes() == expected.tobytes()
+    assert X.tobytes() == X0.tobytes()
+    if Y is not None:
+        assert Y.tobytes() == Y0.tobytes()
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda X, y: fit_classifier(ClassifierSpec(method=SVM_RBF), X, y),
+        lambda X, y: fit_clusters(ClusterConfig(method=SPECTRAL, n_clusters=2), X),
+        lambda X, y: fit_reducer("KPCA", X, 2),
+    ],
+    ids=["SVM_RBF", "SPECTRAL", "KPCA"],
+)
+def test_kernel_width_needs_a_feature_column(fit):
+    X = np.zeros((10, 0))
+    y = np.repeat([0, 1], 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="need at least one feature column"):
+            fit(X, y)
+
+
+def _called_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        func = node.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return None
+
+
+def test_rbf_kernel_is_formed_only_in_linalg():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if _called_name(node) == "exp":
+                inner = [_called_name(sub) for arg in node.args for sub in ast.walk(arg)]
+                assert "pairwise_sq_dists" not in inner, f"{path.name}:{node.lineno} forms an RBF Gram"
+    classify = ast.parse((SRC / "classify.py").read_text())
+    for node in ast.walk(classify):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "reduce" and "reduce" not in [a.name for a in node.names]
+        if isinstance(node, ast.Import):
+            assert not any(a.name.endswith(".reduce") for a in node.names)

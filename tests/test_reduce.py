@@ -7,13 +7,6 @@ from refractory.errors import ConnectivityError, ConvergenceError
 from refractory.reduce import LINEAR, RBF
 
 
-def test_rbf_kernel_values():
-    assert r.rbf_kernel(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 3.0) == 1.0
-    assert abs(r.rbf_kernel(np.array([0.0]), np.array([1.0]), 1.0) - np.exp(-1.0)) < 1e-15
-    # squared distance between (1,2) and (3,4) is 8
-    assert abs(r.rbf_kernel(np.array([1.0, 2.0]), np.array([3.0, 4.0]), 0.5) - np.exp(-4.0)) < 1e-15
-
-
 def test_default_gamma_formula():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(40, 6)) * 3.0
