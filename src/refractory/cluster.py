@@ -216,8 +216,9 @@ def _spectral(X: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
     degrees = affinity.sum(axis=1)
     degrees = np.maximum(degrees, 1e-300)
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    M = affinity * inv_sqrt[:, None] * inv_sqrt[None, :]
-    _, rows = symmetric_eig(M, config.n_clusters)
+    affinity *= inv_sqrt[:, None]
+    affinity *= inv_sqrt[None, :]
+    _, rows = symmetric_eig(affinity, config.n_clusters)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     rows = rows / np.maximum(norms, 1e-300)
     labels, _, inertia, trace = _kmeans(rows, config)
@@ -245,7 +246,9 @@ def _agglomerative(X: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
         return ClusterAssignment(np.arange(n), 0.0, [])
     dist = pairwise_sq_dists(X)
     np.sqrt(dist, out=dist)
-    merges = linkage(squareform(dist, checks=False), method="ward")[: n - k]
+    condensed = squareform(dist, checks=False)
+    del dist  # linkage copies the condensed form; the square one need not stay live
+    merges = linkage(condensed, method="ward")[: n - k]
     root = np.arange(2 * n - k)
     # Walk the merges backwards so every node takes its final cluster's id.
     for node, (a, b) in reversed(list(enumerate(merges[:, :2].astype(np.int64).tolist(), n))):

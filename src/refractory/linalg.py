@@ -6,6 +6,10 @@ import numpy as np
 
 from .errors import ConvergenceError
 
+# Rows per block in the n x n passes below: each block's temporaries are this
+# many rows of the matrix, not the whole matrix.
+_ROW_BLOCK = 256
+
 
 def eigsh(A: np.ndarray, **kwargs):
     """scipy's ARPACK `eigsh`, imported on the first Lanczos solve: importing
@@ -32,9 +36,9 @@ def symmetric_eig(matrix: np.ndarray, k: int | None = None) -> tuple[np.ndarray,
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.allclose(A, A.T, rtol=0.0, atol=1e-8 * max(1.0, float(np.abs(A).max(initial=0.0)))):
-        raise ValueError("matrix is not symmetric")
     n = A.shape[0]
+    if not _is_symmetric(A):
+        raise ValueError("matrix is not symmetric")
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"k={k} must lie in [1, {n}]")
     # ARPACK refuses k >= n, and from 2k >= n its default basis of 2k + 1
@@ -72,8 +76,24 @@ def pairwise_sq_dists(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     Y = X if Y is None else np.asarray(Y, dtype=float)
     x2 = np.sum(X * X, axis=1)[:, None]
     y2 = np.sum(Y * Y, axis=1)[None, :]
-    d2 = x2 + y2 - 2.0 * (X @ Y.T)
-    return np.maximum(d2, 0.0)
+    # In place, x2 + y2 - 2xy as (-2xy) + (x2 + y2): IEEE a - b is a + (-b)
+    # and addition commutes, so the bytes are those of the out-of-place form.
+    d2 = X @ Y.T
+    np.multiply(d2, -2.0, out=d2)
+    for start in range(0, d2.shape[0], _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        d2[block] += x2[block] + y2
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _is_symmetric(A: np.ndarray) -> bool:
+    """np.allclose(A, A.T, rtol=0, atol=1e-8 * max(1, max |A|)), taken over row
+    blocks A[s:e] against A[:, s:e].T so no n x n temporary is made. A NaN
+    anywhere fails the check, as it does in the whole-matrix form."""
+    blocks = [slice(start, start + _ROW_BLOCK) for start in range(0, A.shape[0], _ROW_BLOCK)]
+    scale = np.max([np.abs(A[b]).max(initial=0.0) for b in blocks], initial=0.0)
+    atol = 1e-8 * max(1.0, float(scale))
+    return all(np.allclose(A[b], A[:, b].T, rtol=0.0, atol=atol) for b in blocks)
 
 
 def rbf_gram(X: np.ndarray, Y: np.ndarray | None, gamma: float) -> np.ndarray:

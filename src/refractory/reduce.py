@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConnectivityError, ConvergenceError, ParseError
-from .linalg import default_gamma, pairwise_sq_dists, rbf_gram, symmetric_eig
+from .linalg import _ROW_BLOCK, default_gamma, pairwise_sq_dists, rbf_gram, symmetric_eig
 from .tables import check_unique_ids, format_row, read_table, write_table
 
 LINEAR = "LINEAR"
@@ -27,6 +27,10 @@ _EIG_TOL_RATIO = 1e-10
 
 _ICA_TOL = 1e-4
 _ICA_MAX_ITER = 200
+
+# Pairs per block for ISOMAP's edge lengths: a block's two gathered row sets
+# stay small against the n x n arrays.
+_EDGE_PAIRS = 128
 
 
 @dataclass(frozen=True)
@@ -55,13 +59,21 @@ def center_kernel(K: np.ndarray) -> np.ndarray:
     K' = K - 1K - K1 + 1K1 with 1 the (1/n)-filled matrix; row and column
     sums of the result vanish and the operation is idempotent.
     """
-    K = np.asarray(K, dtype=float)
+    K = np.array(K, dtype=float)  # a copy: the caller's matrix is left as it is
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"expected a square Gram matrix, got shape {K.shape}")
-    col = K.mean(axis=0, keepdims=True)
-    row = K.mean(axis=1, keepdims=True)
-    grand = K.mean()
-    return K - col - row + grand
+    return _center_in_place(K, K.mean(axis=0, keepdims=True), K.mean(axis=1, keepdims=True), K.mean())
+
+
+def _center_in_place(K: np.ndarray, first, second, grand) -> np.ndarray:
+    """K - first - second + grand, left to right, written into K.
+
+    first and second are a row of column means and a column of row means, in
+    either order; the in-place steps round as the out-of-place expression."""
+    K -= first
+    K -= second
+    K += grand
+    return K
 
 
 @dataclass
@@ -161,13 +173,10 @@ def transform(model: ReducerModel, X) -> Embedding:
         values = (data - model.mean) @ model.axes
     elif model.method == "KPCA":
         K = kernel_gram(data, model.train_X, model.kernel, model.gamma)
-        centered = (
-            K
-            - K.mean(axis=1, keepdims=True)
-            - model.kernel_col_means[None, :]
-            + model.kernel_grand_mean
+        _center_in_place(
+            K, K.mean(axis=1, keepdims=True), model.kernel_col_means[None, :], model.kernel_grand_mean
         )
-        values = centered @ model.dual_axes
+        values = K @ model.dual_axes
     elif model.method == "ICA":
         values = (data - model.mean) @ model.unmixing.T
     elif model.method == "ISOMAP":
@@ -211,8 +220,8 @@ def _fit_kpca(X: np.ndarray, k: int, kernel: KernelSpec) -> ReducerModel:
     K = kernel_gram(X, None, kernel, gamma)
     col_means = K.mean(axis=0)
     grand_mean = float(K.mean())
-    centered = center_kernel(K)
-    values, vectors = symmetric_eig(centered, k)
+    _center_in_place(K, col_means[None, :], K.mean(axis=1, keepdims=True), grand_mean)
+    values, vectors = symmetric_eig(K, k)
     keep = _leading_positive(values, k, "kernel matrix has no positive eigenvalues; nothing to embed")
     top = values[:keep]
     dual_axes = vectors[:, :keep] / np.sqrt(top)[None, :]
@@ -279,18 +288,28 @@ def _fit_isomap(X: np.ndarray, k: int, n_neighbors: int) -> ReducerModel:
         raise ValueError("n_neighbors must be positive")
     n = X.shape[0]
     n_neighbors = min(n_neighbors, n - 1)
-    d2 = pairwise_sq_dists(X)
-    dist = np.sqrt(d2)
 
-    # Symmetrized kNN graph: keep each row's n_neighbors nearest others.
-    ranked = d2.copy()
-    np.fill_diagonal(ranked, np.inf)
-    order = np.argsort(ranked, axis=1, kind="stable")
+    # Symmetrized kNN graph: keep each row's n_neighbors nearest others, in
+    # stable (distance, column) order, ranked one row block at a time.
+    d2 = pairwise_sq_dists(X)
+    np.fill_diagonal(d2, np.inf)
+    cols = np.empty((n, n_neighbors), dtype=np.intp)
+    for start in range(0, n, _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        cols[block] = np.argsort(d2[block], axis=1, kind="stable")[:, :n_neighbors]
+    del d2
     rows = np.repeat(np.arange(n), n_neighbors)
-    cols = order[:, :n_neighbors].ravel()
+    cols = cols.ravel()
+    # Each edge's length from the rows' difference, so identical rows are
+    # exactly 0 apart (the Gram form leaves rounding noise).
+    weights = np.empty(rows.size)
+    for start in range(0, rows.size, _EDGE_PAIRS):
+        pairs = slice(start, start + _EDGE_PAIRS)
+        diff = X[rows[pairs]] - X[cols[pairs]]
+        weights[pairs] = np.sqrt(np.sum(diff * diff, axis=1))
     # Tiny floor keeps zero-distance edges (duplicate rows) explicit in the
     # sparse graph; scipy would otherwise silently drop them.
-    weights = np.maximum(dist[rows, cols], 1e-300)
+    weights = np.maximum(weights, 1e-300)
     graph = csr_matrix((weights, (rows, cols)), shape=(n, n))
     graph = graph.maximum(graph.T)
 
@@ -300,8 +319,10 @@ def _fit_isomap(X: np.ndarray, k: int, n_neighbors: int) -> ReducerModel:
 
     geo = shortest_path(graph, method="D", directed=False)
 
-    # Classical MDS on the squared geodesics.
-    B = -0.5 * center_kernel(geo**2)
+    # Classical MDS on the squared geodesics, B = -0.5 * center(geo**2), in place.
+    np.square(geo, out=geo)
+    _center_in_place(geo, geo.mean(axis=0, keepdims=True), geo.mean(axis=1, keepdims=True), geo.mean())
+    B = np.multiply(geo, -0.5, out=geo)
     values, vectors = symmetric_eig(B, k)
     keep = _leading_positive(values, k, "geodesic Gram matrix has no positive eigenvalues")
     embedding = vectors[:, :keep] * np.sqrt(values[:keep])[None, :]

@@ -264,3 +264,83 @@ def test_rbf_kernel_is_formed_only_in_linalg():
             assert node.module != "reduce" and "reduce" not in [a.name for a in node.names]
         if isinstance(node, ast.Import):
             assert not any(a.name.endswith(".reduce") for a in node.names)
+
+
+def _out_of_place_sq_dists(X, Y):
+    # The whole-matrix expression the blocked pairwise_sq_dists replaced.
+    x2 = np.sum(X * X, axis=1)[:, None]
+    y2 = np.sum(Y * Y, axis=1)[None, :]
+    return np.maximum(x2 + y2 - 2.0 * (X @ Y.T), 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 255, 257, 600])
+@pytest.mark.parametrize("other", [False, True], ids=["self", "other"])
+def test_pairwise_sq_dists_bytes_equal_the_out_of_place_form(n, other):
+    rng = np.random.default_rng(n)
+    X = rng.poisson(0.3, size=(n, 40)).astype(float) + rng.normal(scale=1e-3, size=(n, 40))
+    Y = rng.normal(size=(n + 37, 40)) if other else None
+    D = pairwise_sq_dists(X, Y)
+    expected = _out_of_place_sq_dists(X, X if Y is None else Y)
+    assert D.shape == expected.shape
+    assert np.array_equal(D, expected) and D.tobytes() == expected.tobytes()
+
+
+def _symmetric_600(seed=0):
+    # 600 rows: two full row blocks and a partial third one.
+    A = _random_symmetric(np.random.default_rng(seed), 600)
+    assert A.shape[0] > 2 * linalg._ROW_BLOCK
+    return A
+
+
+def test_eig_rejects_asymmetry_in_the_last_row_block():
+    A = _symmetric_600()
+    A[599, 3] += 1e-3
+    with pytest.raises(ValueError, match="matrix is not symmetric"):
+        symmetric_eig(A, 2)
+    A[3, 599] += 1e-3
+    symmetric_eig(A, 2)
+
+
+def test_eig_rejects_nan():
+    A = _symmetric_600()
+    A[300, 300] = np.nan
+    with pytest.raises(ValueError, match="matrix is not symmetric"):
+        symmetric_eig(A, 2)
+    with pytest.raises(ValueError, match="matrix is not symmetric"):
+        symmetric_eig(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_blocked_symmetry_check_agrees_with_the_whole_matrix_check(seed):
+    rng = np.random.default_rng(seed)
+    A = _symmetric_600(seed) * 10.0 ** rng.integers(-3, 4)
+    tol = 1e-8 * max(1.0, float(np.abs(A).max()))
+    i, j = rng.integers(0, 600, size=2)
+    A[i, j] += tol * rng.choice([0.5, 0.999, 1.001, 2.0])
+    if seed == 5:
+        A[i, j] = np.inf
+        A[j, i] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy warns on atol = inf
+        expected = np.allclose(A, A.T, rtol=0.0, atol=1e-8 * max(1.0, float(np.abs(A).max(initial=0.0))))
+        assert linalg._is_symmetric(A) == expected
+
+
+def test_spectral_affinity_bytes_equal_the_out_of_place_form(monkeypatch):
+    from refractory import cluster
+
+    rng = np.random.default_rng(7)
+    X = rng.poisson(0.3, size=(300, 30)).astype(float)
+    seen = []
+
+    def capture(A, k=None):
+        seen.append(A.copy())
+        return symmetric_eig(A, k)
+
+    monkeypatch.setattr(cluster, "symmetric_eig", capture)
+    fit_clusters(ClusterConfig(method=SPECTRAL, n_clusters=2, restarts=1), X)
+    W = np.exp(-linalg.default_gamma(X) * pairwise_sq_dists(X))
+    np.fill_diagonal(W, 0.0)
+    inv_sqrt = 1.0 / np.sqrt(np.maximum(W.sum(axis=1), 1e-300))
+    expected = W * inv_sqrt[:, None] * inv_sqrt[None, :]
+    assert len(seen) == 1 and seen[0].tobytes() == expected.tobytes()

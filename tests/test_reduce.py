@@ -267,3 +267,99 @@ def test_low_rank_rows_keep_positive_components_as_the_full_solve(monkeypatch, r
         np.testing.assert_allclose(model.eigenvalues, reference.eigenvalues, rtol=1e-12)
     np.testing.assert_allclose(top_k[0].dual_axes, full[0].dual_axes, atol=1e-10)
     np.testing.assert_allclose(top_k[1].train_embedding, full[1].train_embedding, atol=1e-10)
+
+
+def _counts(n, d, seed):
+    return np.random.default_rng(seed).poisson(0.3, size=(n, d)).astype(float)
+
+
+def _capture_eig_input(monkeypatch):
+    import refractory.reduce as reduce_mod
+    from refractory.linalg import symmetric_eig
+
+    seen = []
+
+    def capture(A, k=None):
+        seen.append(A.copy())
+        return symmetric_eig(A, k)
+
+    monkeypatch.setattr(reduce_mod, "symmetric_eig", capture)
+    return seen
+
+
+def test_kpca_fit_and_transform_bytes_equal_the_out_of_place_form(monkeypatch):
+    X = _counts(300, 40, 21)
+    Z = _counts(70, 40, 22)
+    seen = _capture_eig_input(monkeypatch)
+    model = r.fit_reducer("KPCA", X, 5)
+    # The whole-matrix expressions the in-place centering replaced.
+    K = r.rbf_gram(X, None, model.gamma)
+    assert model.kernel_col_means.tobytes() == K.mean(axis=0).tobytes()
+    assert model.kernel_grand_mean == float(K.mean())
+    centered = K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
+    assert len(seen) == 1 and seen[0].tobytes() == centered.tobytes()
+    for rows in (X, Z):
+        G = r.rbf_gram(rows, X, model.gamma)
+        expected = (
+            G - G.mean(axis=1, keepdims=True) - model.kernel_col_means[None, :] + model.kernel_grand_mean
+        ) @ model.dual_axes
+        assert r.transform(model, rows).values.tobytes() == expected.tobytes()
+
+
+def test_center_kernel_leaves_its_input_unchanged():
+    K = np.random.default_rng(23).normal(size=(9, 9))
+    K = K + K.T
+    before = K.copy()
+    C = r.center_kernel(K)
+    assert K.tobytes() == before.tobytes()
+    expected = K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
+    assert C.tobytes() == expected.tobytes()
+
+
+def test_isomap_neighbours_and_gram_bytes_equal_the_out_of_place_form(monkeypatch):
+    import scipy.sparse
+    import scipy.sparse.csgraph
+
+    from refractory.linalg import pairwise_sq_dists
+
+    # Integer counts: many tied distances, so the stable order matters, and
+    # 600 rows span three of the ranking's row blocks.
+    X = _counts(600, 30, 24)
+    n_neighbors = 10
+    graphs, geodesics = [], []
+    csr_matrix, shortest_path = scipy.sparse.csr_matrix, scipy.sparse.csgraph.shortest_path
+
+    def capture_graph(arg, **kwargs):
+        graphs.append(arg)
+        return csr_matrix(arg, **kwargs)
+
+    def capture_geodesics(*args, **kwargs):
+        geodesics.append(shortest_path(*args, **kwargs).copy())
+        return shortest_path(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse, "csr_matrix", capture_graph)
+    monkeypatch.setattr(scipy.sparse.csgraph, "shortest_path", capture_geodesics)
+    seen = _capture_eig_input(monkeypatch)
+    r.fit_reducer("ISOMAP", X, 5, n_neighbors=n_neighbors)
+
+    ranked = pairwise_sq_dists(X)
+    np.fill_diagonal(ranked, np.inf)
+    order = np.argsort(ranked, axis=1, kind="stable")[:, :n_neighbors]
+    weights, (rows, cols) = graphs[0]
+    assert np.array_equal(rows, np.repeat(np.arange(600), n_neighbors))
+    assert np.array_equal(cols, order.ravel())
+    direct = np.sqrt(((X[rows] - X[cols]) ** 2).sum(axis=1))
+    assert np.array_equal(weights, np.maximum(direct, 1e-300))
+
+    G2 = geodesics[0] ** 2
+    B = -0.5 * (G2 - G2.mean(axis=0, keepdims=True) - G2.mean(axis=1, keepdims=True) + G2.mean())
+    assert len(seen) == 1 and seen[0].tobytes() == B.tobytes()
+
+
+def test_isomap_repeated_non_integer_row_has_nothing_to_embed():
+    # The Gram form of the squared distance leaves about 4e-15 between these
+    # identical rows; edge lengths from the rows' difference are exactly 0.
+    X = np.tile([0.3, -1.7, 2.9, 0.1], (30, 1))
+    for k in (2, 20):
+        with pytest.raises(ValueError, match="no positive eigenvalues"):
+            r.fit_reducer("ISOMAP", X, k)

@@ -1,4 +1,5 @@
-"""tools/artifact_diff.py sizes the columns that moved in a differing CSV."""
+"""tools/artifact_diff.py sizes the columns that moved in a differing CSV;
+tools/fit_memory.py measures each n x n fit in a fresh child."""
 
 import importlib.util
 from pathlib import Path
@@ -7,6 +8,9 @@ ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("artifact_diff", ROOT / "tools" / "artifact_diff.py")
 artifact_diff = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(artifact_diff)
+_spec = importlib.util.spec_from_file_location("fit_memory", ROOT / "tools" / "fit_memory.py")
+fit_memory = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(fit_memory)
 
 
 def _pair(tmp_path, parent_text, change_text):
@@ -45,3 +49,19 @@ def test_differing_files_lists_column_moves_under_the_file(tmp_path):
         ("only in parent: gone.txt", []),
         ("differs: roc.csv", ["    threshold: max |change| 0.25"]),
     ]
+
+
+def test_fit_memory_prints_one_line_per_fit(capsys):
+    assert fit_memory.main(["--fits", "KPCA,AGGLOMERATIVE", "60"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[1:]] == [["KPCA", "60"], ["AGGLOMERATIVE", "60"]]
+    for line in lines[1:]:
+        wall, base, peak = map(float, line.split()[2:])
+        assert wall > 0 and 0 < base <= peak
+
+
+def test_fit_memory_cap_turns_an_oversized_fit_into_memory_error(capsys):
+    # 20,000 rows need a 3 GB Gram: under a 1 GiB address-space cap the
+    # child's allocation fails at once, without touching that memory.
+    assert fit_memory.main(["--fits", "KPCA", "--cap-mib", "1024", "20000"]) == 1
+    assert capsys.readouterr().out.splitlines()[1].endswith("MemoryError")
