@@ -87,6 +87,7 @@ from .reduce import (
     center_kernel,
     fit_reducer,
     kernel_gram,
+    max_components,
     read_embedding,
     transform,
     write_embedding,

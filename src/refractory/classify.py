@@ -9,7 +9,7 @@ the logistic of an uncalibrated margin, and documented as such).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -354,19 +354,12 @@ def feature_importance(model: TrainedClassifier) -> FeatureImportance:
 def model_summary(model: TrainedClassifier, feature_names: Sequence[str] | None = None) -> dict:
     """JSON-ready description: method, hyperparameters, fitted sizes, the
     GBDT deviance trace, and importances when the method defines them."""
-    spec = model.spec
+    hyperparameters = {key: v for key, v in asdict(model.spec).items() if key not in ("method", "tol")}
+    if model.spec.gamma is None:
+        hyperparameters["gamma"] = model.gamma
     summary = {
         "method": model.method,
-        "hyperparameters": {
-            "learning_rate": spec.learning_rate,
-            "max_depth": spec.max_depth,
-            "n_stages": spec.n_stages,
-            "l2": spec.l2,
-            "max_iter": spec.max_iter,
-            "svm_reg": spec.svm_reg,
-            "gamma": spec.gamma if spec.gamma is not None else model.gamma,
-            "seed": spec.seed,
-        },
+        "hyperparameters": hyperparameters,
         "n_features": model.n_features,
         "n_stages_fit": len(model.stages) if model.method in (ADABOOST, GBDT) else None,
         "base_score": model.base_score if model.method == GBDT else None,

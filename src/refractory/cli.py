@@ -162,7 +162,10 @@ def build_config(file_values: dict[str, str], overrides: dict | None = None) -> 
     for name in cfg.estimators:
         if name not in classify.CLASSIFIERS:
             raise ValueError(f"unknown estimator {name!r}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed={cfg.seed} must be non-negative")
     # Build what the later stages build, so a bad value fails before any stage runs.
+    _generator_config(cfg)
     _classifier_spec(cfg)
     if cfg.reduce_method == "KPCA":
         reduce_mod.KernelSpec(cfg.kernel, cfg.gamma)
@@ -178,9 +181,20 @@ def build_config(file_values: dict[str, str], overrides: dict | None = None) -> 
     n_patients = 2 * cfg.resolved_n_per_class
     if cfg.n_clusters > n_patients:
         raise ValueError(f"n_clusters={cfg.n_clusters} exceeds the {n_patients} patients")
-    most = n_patients - 1 if cfg.reduce_method in ("KPCA", "ISOMAP") else n_patients
-    if cfg.reduce_method != NONE_REDUCER and cfg.n_components > most:
-        raise ValueError(f"n_components={cfg.n_components} exceeds {most} ({cfg.reduce_method}, {n_patients} patients)")
+    # The sweep fits every reducer, each capped at its own limit. reduce fits
+    # reduce_method, and train --sweep KPCA, at exactly n_components on
+    # n_patients rows of at most n_codes columns.
+    if cfg.n_components < 1:
+        raise ValueError(f"n_components={cfg.n_components} must be at least 1")
+    fitted = {cfg.reduce_method} - {NONE_REDUCER}
+    if cfg.gamma_grid:
+        fitted.add("KPCA")
+    for method in sorted(fitted):
+        most = reduce_mod.max_components(method, n_patients, cfg.n_codes)
+        if cfg.n_components > most:
+            raise ValueError(
+                f"n_components={cfg.n_components} exceeds {most} ({method}, {n_patients} patients, {cfg.n_codes} codes)"
+            )
     if not 2 <= cfg.k_folds <= cfg.resolved_n_per_class:
         raise ValueError(f"k_folds={cfg.k_folds} must be 2 to {cfg.resolved_n_per_class} (per-class count)")
     return cfg
@@ -212,21 +226,16 @@ def _classifier_spec(cfg: PipelineConfig, **over) -> classify.ClassifierSpec:
     return replace(spec, **over) if over else spec
 
 
+def _generator_config(cfg: PipelineConfig) -> synth.GeneratorConfig:
+    return synth.GeneratorConfig(**{f.name: getattr(cfg, f.name) for f in fields(synth.GeneratorConfig)})
+
+
 # ---------------------------------------------------------------------------
 # Stage commands
 
 
 def cmd_synth(cfg: PipelineConfig, out: Path) -> dict:
-    gen = synth.GeneratorConfig(
-        n_case=cfg.n_case,
-        n_control=cfg.n_control,
-        n_codes=cfg.n_codes,
-        n_signal_codes=cfg.n_signal_codes,
-        seed=cfg.seed,
-        noise_scale=cfg.noise_scale,
-        shell_radii=cfg.shell_radii,
-    )
-    table = synth.generate_events(gen)
+    table = synth.generate_events(_generator_config(cfg))
     events_mod.write_events(table, out)
     n_patients = len(table.patient_ids())
     print(f"wrote {out}: {len(table)} events for {n_patients} patients")

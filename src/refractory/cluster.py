@@ -288,8 +288,9 @@ def clustering_sweep(
 ) -> list[SweepCell]:
     """Cluster every reduction of X with every method and score against labels.
 
-    A failing cell (for example a reducer that cannot converge) is recorded
-    with its error message instead of aborting the grid.
+    Each reducer fits k components, capped at its own reduce.max_components
+    on X. A failing cell (for example a reducer that cannot converge) is
+    recorded with its error message instead of aborting the grid.
     """
     data = np.asarray(X, dtype=float)
     y = np.asarray(labels)
@@ -303,9 +304,8 @@ def clustering_sweep(
         else:
             try:
                 fit_seed = _derived_seed(seed, r_idx, 0)
-                model = reduce_mod.fit_reducer(
-                    reduction, data, min(k, data.shape[0] - 1), n_neighbors=n_neighbors, seed=fit_seed
-                )
+                k_fit = min(k, reduce_mod.max_components(reduction, *data.shape))
+                model = reduce_mod.fit_reducer(reduction, data, k_fit, n_neighbors=n_neighbors, seed=fit_seed)
                 reduced = reduce_mod.transform(model, data).values
                 fit_error = None
             except Exception as exc:  # recorded, not raised: the grid must finish

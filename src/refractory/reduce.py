@@ -120,6 +120,17 @@ def _validate_fit_input(X: np.ndarray, k: int) -> None:
         raise ValueError("k must be at least 1")
 
 
+def max_components(method: str, n_rows: int, n_features: int) -> int:
+    """The most components method can fit on an n_rows x n_features matrix:
+    n_rows - 1 for KPCA and ISOMAP (a centred Gram has rank at most n - 1),
+    min(n_rows, n_features) for PCA and ICA."""
+    if method in ("KPCA", "ISOMAP"):
+        return n_rows - 1
+    if method in ("PCA", "ICA"):
+        return min(n_rows, n_features)
+    raise ValueError(f"unknown reducer {method!r}")
+
+
 def fit_reducer(
     method: str,
     X,
@@ -131,32 +142,24 @@ def fit_reducer(
 ) -> ReducerModel:
     """Fit one of PCA, KPCA, ICA, ISOMAP with k output components.
 
-    k is capped by n_rows - 1 for the kernel methods and by
-    min(n_rows, n_features) for PCA/ICA. KPCA drops components whose
-    eigenvalue is numerically zero and reports the shrunken count in the
+    k is capped by max_components. KPCA and ISOMAP drop components whose
+    eigenvalue is numerically zero and report the shrunken count in the
     model's n_components.
     """
     data = np.asarray(X, dtype=float)
-    n, d = data.shape if data.ndim == 2 else (0, 0)
     _validate_fit_input(data, k)
+    n, d = data.shape
+    limit = max_components(method, n, d)
+    if k > limit:
+        raise ValueError(f"{method} k={k} exceeds its limit of {limit} components on {n} x {d}")
 
     if method == "PCA":
-        if k > min(n, d):
-            raise ValueError(f"PCA k={k} exceeds min(n_samples, n_features)={min(n, d)}")
         return _fit_pca(data, k)
     if method == "KPCA":
-        if k > n - 1:
-            raise ValueError(f"KPCA k={k} exceeds n_samples - 1 = {n - 1}")
         return _fit_kpca(data, k, kernel or KernelSpec(RBF))
     if method == "ICA":
-        if k > min(n, d):
-            raise ValueError(f"ICA k={k} exceeds min(n_samples, n_features)={min(n, d)}")
         return _fit_ica(data, k, seed)
-    if method == "ISOMAP":
-        if k > n - 1:
-            raise ValueError(f"ISOMAP k={k} exceeds n_samples - 1 = {n - 1}")
-        return _fit_isomap(data, k, n_neighbors)
-    raise ValueError(f"unknown reducer {method!r}")
+    return _fit_isomap(data, k, n_neighbors)
 
 
 def transform(model: ReducerModel, X) -> Embedding:

@@ -1,8 +1,10 @@
 import json
 import shutil
+from dataclasses import fields
 
 import pytest
 
+from refractory.classify import ClassifierSpec
 from refractory.cli import (
     AUC_TABLE_FILE,
     ALPHA_SWEEP_FILE,
@@ -23,6 +25,7 @@ from refractory.cli import (
     main,
 )
 from refractory.errors import ParseError
+from refractory.synth import GeneratorConfig
 
 SMOKE = """
 # small-but-realistic settings so the whole chain runs in about a second
@@ -122,6 +125,32 @@ def test_resolved_n_per_class_defaults_to_smaller_arm():
 def test_shell_radii_needs_exactly_two():
     with pytest.raises(ValueError):
         build_config({"shell_radii": "1, 2, 3"})
+
+
+def test_build_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        build_config({}, {"seed": -1})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_signal_codes", "1"),
+    ("noise_scale", "-1"),
+    ("shell_radii", "2, 2"),
+])
+def test_build_config_checks_generator_values(key, value):
+    with pytest.raises(ValueError):
+        build_config({key: value})
+
+
+def test_stage_defaults_equal_the_pipeline_defaults():
+    # PipelineConfig restates the generator's and the classifier's defaults.
+    pipeline = {f.name: f.default for f in fields(PipelineConfig)}
+    for f in fields(GeneratorConfig):
+        assert pipeline[f.name] == f.default, f.name
+    renamed = {"method": "classifier", "gamma": "classifier_gamma"}
+    for f in fields(ClassifierSpec):
+        if f.name != "tol":
+            assert pipeline[renamed.get(f.name, f.name)] == f.default, f.name
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +281,14 @@ def test_train_sweep_writes_grid_tables(finished_run):
     assert not (workdir / GAMMA_SWEEP_FILE).exists()
 
 
+def test_negative_seed_leaves_the_sweep_untouched(finished_run, capsys):
+    workdir, cfg_path = finished_run
+    before = (workdir / SWEEP_FILE).read_bytes()
+    assert main(["cluster-sweep", "--config", cfg_path, "--seed", "-1"]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert (workdir / SWEEP_FILE).read_bytes() == before
+
+
 def test_stagewise_subcommands_chain(tmp_path):
     workdir = tmp_path / "w"
     cfg_path = _write_smoke_config(tmp_path, workdir)
@@ -300,6 +337,11 @@ def test_evaluate_adds_a_classifier_missing_from_estimators(tmp_path):
         "depth_grid = -1",
         "gamma_grid = 0.01, -1",
         "n_case = 30\nn_control = 30\nn_per_class = 40",
+        "n_components = 0",
+        "reduce_method = NONE\nn_components = 0",
+        "n_codes = 10\nn_signal_codes = 4\nreduce_method = PCA",
+        "n_codes = 10\nn_signal_codes = 4\nreduce_method = ICA",
+        "n_case = 30\nn_control = 30\nreduce_method = PCA\nn_components = 60\ngamma_grid = 0.01",
     ],
 )
 def test_bad_config_fails_before_any_stage(tmp_path, capsys, settings):

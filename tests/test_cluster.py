@@ -232,6 +232,15 @@ def test_sweep_on_warmup_cohort_has_every_cell_ok(generated_counts):
     assert [(c.reduction, c.method) for c in cells if c.status != "ok"] == []
 
 
+def test_sweep_caps_each_reducer_at_its_own_limit():
+    # Ten count columns: PCA and ICA fit 10 components, KPCA and ISOMAP 20.
+    X = np.random.default_rng(0).poisson(0.3, (60, 10)).astype(float)
+    y = np.repeat([0, 1], 30)
+    cells = clustering_sweep(X, y, k=20, seed=0, restarts=2)
+    assert len(cells) == 20
+    assert [(c.reduction, c.method, c.status) for c in cells if c.status != "ok"] == []
+
+
 def test_sweep_label_length_mismatch():
     with pytest.raises(ValueError):
         clustering_sweep(np.zeros((4, 2)), [0, 1])

@@ -177,6 +177,16 @@ def test_fit_k_bounds():
         r.fit_reducer("SVD", X, 2)
 
 
+def test_max_components_per_method():
+    assert r.max_components("KPCA", 6, 3) == 5
+    assert r.max_components("ISOMAP", 6, 30) == 5
+    assert r.max_components("PCA", 6, 3) == 3
+    assert r.max_components("PCA", 6, 30) == 6
+    assert r.max_components("ICA", 6, 3) == 3
+    with pytest.raises(ValueError, match="unknown reducer"):
+        r.max_components("SVD", 6, 3)
+
+
 def test_embedding_round_trip(tmp_path):
     rng = np.random.default_rng(14)
     X = rng.normal(size=(9, 4))
