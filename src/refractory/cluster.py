@@ -304,7 +304,7 @@ def clustering_sweep(
         else:
             try:
                 fit_seed = _derived_seed(seed, r_idx, 0)
-                k_fit = min(k, reduce_mod.max_components(reduction, *data.shape))
+                k_fit = min(k, reduce_mod.max_components(reduction, data.shape[0], data.shape[-1]))
                 model = reduce_mod.fit_reducer(reduction, data, k_fit, n_neighbors=n_neighbors, seed=fit_seed)
                 reduced = reduce_mod.transform(model, data).values
                 fit_error = None

@@ -121,13 +121,15 @@ def _validate_fit_input(X: np.ndarray, k: int) -> None:
 
 
 def max_components(method: str, n_rows: int, n_features: int) -> int:
-    """The most components method can fit on an n_rows x n_features matrix:
-    n_rows - 1 for KPCA and ISOMAP (a centred Gram has rank at most n - 1),
-    min(n_rows, n_features) for PCA and ICA."""
+    """The most components method can fit on an n_rows x n_features matrix.
+
+    Each reducer centres what it decomposes (the rows for PCA and ICA, the
+    Gram for KPCA and ISOMAP), and a centred n_rows-row matrix has rank at
+    most n_rows - 1. PCA and ICA are also capped by n_features."""
     if method in ("KPCA", "ISOMAP"):
         return n_rows - 1
     if method in ("PCA", "ICA"):
-        return min(n_rows, n_features)
+        return min(n_rows - 1, n_features)
     raise ValueError(f"unknown reducer {method!r}")
 
 
@@ -159,7 +161,9 @@ def fit_reducer(
         return _fit_kpca(data, k, kernel or KernelSpec(RBF))
     if method == "ICA":
         return _fit_ica(data, k, seed)
-    return _fit_isomap(data, k, n_neighbors)
+    if method == "ISOMAP":
+        return _fit_isomap(data, k, n_neighbors)
+    raise ValueError(f"unknown reducer {method!r}")
 
 
 def transform(model: ReducerModel, X) -> Embedding:

@@ -241,6 +241,15 @@ def test_sweep_caps_each_reducer_at_its_own_limit():
     assert [(c.reduction, c.method, c.status) for c in cells if c.status != "ok"] == []
 
 
+def test_sweep_fits_rank_deficient_counts_below_their_rank():
+    # 20 centred rows have rank at most 19, so no reducer is asked for 20.
+    X = np.random.default_rng(0).poisson(0.3, (20, 40)).astype(float)
+    y = np.repeat([0, 1], 10)
+    cells = clustering_sweep(X, y, k=20, seed=0, restarts=2)
+    assert len(cells) == 20
+    assert [(c.reduction, c.method, c.status) for c in cells if c.status != "ok"] == []
+
+
 def test_sweep_label_length_mismatch():
     with pytest.raises(ValueError):
         clustering_sweep(np.zeros((4, 2)), [0, 1])

@@ -181,8 +181,9 @@ def test_max_components_per_method():
     assert r.max_components("KPCA", 6, 3) == 5
     assert r.max_components("ISOMAP", 6, 30) == 5
     assert r.max_components("PCA", 6, 3) == 3
-    assert r.max_components("PCA", 6, 30) == 6
+    assert r.max_components("PCA", 6, 30) == 5
     assert r.max_components("ICA", 6, 3) == 3
+    assert r.max_components("ICA", 6, 30) == 5
     with pytest.raises(ValueError, match="unknown reducer"):
         r.max_components("SVD", 6, 3)
 
