@@ -24,7 +24,7 @@ matrix = r.featurize(cohort, by_id, r.build_vocabulary(windows))
 y = np.array([1 if lab == r.CASE else 0 for lab in matrix.labels])
 
 model = r.fit_reducer("KPCA", matrix.values, 12, kernel=r.KernelSpec(RBF))
-emb = r.transform(model, matrix.values).values
+emb = model.train_embedding
 print(f"KPCA: {matrix.values.shape[1]} counts -> {emb.shape[1]} components "
       f"(gamma {model.gamma:.4f})")
 

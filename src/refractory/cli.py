@@ -162,13 +162,15 @@ def build_config(file_values: dict[str, str], overrides: dict | None = None) -> 
     for name in cfg.estimators:
         if name not in classify.CLASSIFIERS:
             raise ValueError(f"unknown estimator {name!r}")
+    for key in ("estimators", "alpha_grid", "depth_grid", "gamma_grid"):  # each value is one CV run
+        if len(set(getattr(cfg, key))) < len(getattr(cfg, key)):
+            raise ValueError(f"config key {key!r} repeats a value")
     if cfg.seed < 0:
         raise ValueError(f"seed={cfg.seed} must be non-negative")
     # Build what the later stages build, so a bad value fails before any stage runs.
     _generator_config(cfg)
     _classifier_spec(cfg)
-    if cfg.reduce_method == "KPCA":
-        reduce_mod.KernelSpec(cfg.kernel, cfg.gamma)
+    reduce_mod.KernelSpec(cfg.kernel, cfg.gamma)
     for alpha in cfg.alpha_grid:
         _classifier_spec(cfg, learning_rate=alpha)
     for depth in cfg.depth_grid:
@@ -278,18 +280,14 @@ def cmd_reduce(cfg: PipelineConfig) -> dict:
     matrix = read_matrix(path)
     values = matrix.values.astype(float)
     if cfg.reduce_method != NONE_REDUCER:
-        kernel = None
-        if cfg.reduce_method == "KPCA":
-            kernel = reduce_mod.KernelSpec(cfg.kernel, cfg.gamma)
-        model = reduce_mod.fit_reducer(
+        values = reduce_mod.fit_reducer(
             cfg.reduce_method,
             values,
             cfg.n_components,
-            kernel=kernel,
+            kernel=reduce_mod.KernelSpec(cfg.kernel, cfg.gamma),
             n_neighbors=cfg.n_neighbors,
             seed=cfg.seed,
-        )
-        values = reduce_mod.transform(model, values).values
+        ).train_embedding
     embedding = reduce_mod.Embedding(values, cfg.reduce_method, list(matrix.row_ids))
     out = _workpath(cfg, EMBEDDING_FILE)
     reduce_mod.write_embedding(embedding, out)
@@ -358,7 +356,7 @@ def cmd_train(cfg: PipelineConfig, sweep: bool = False) -> dict:
         def kpca(gamma: float) -> tuple[np.ndarray, classify.ClassifierSpec]:
             kernel = reduce_mod.KernelSpec(reduce_mod.RBF, gamma)
             model = reduce_mod.fit_reducer("KPCA", matrix.values, cfg.n_components, kernel=kernel, seed=cfg.seed)
-            return reduce_mod.transform(model, matrix.values).values, gbdt
+            return model.train_embedding, gbdt
 
         _cv_sweep(cfg, y, "gamma", GAMMA_SWEEP_FILE, cfg.gamma_grid, kpca)
     return {"alpha_rows": len(cfg.alpha_grid), "depth_rows": len(cfg.depth_grid)}

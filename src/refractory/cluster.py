@@ -306,7 +306,7 @@ def clustering_sweep(
                 fit_seed = _derived_seed(seed, r_idx, 0)
                 k_fit = min(k, reduce_mod.max_components(reduction, data.shape[0], data.shape[-1]))
                 model = reduce_mod.fit_reducer(reduction, data, k_fit, n_neighbors=n_neighbors, seed=fit_seed)
-                reduced = reduce_mod.transform(model, data).values
+                reduced = model.train_embedding
                 fit_error = None
             except Exception as exc:  # recorded, not raised: the grid must finish
                 reduced, fit_error = None, f"failed: {exc}"

@@ -1,8 +1,8 @@
 """Dimensionality reduction: PCA, kernel PCA, ICA, and ISOMAP.
 
-All four share one surface: fit_reducer builds a ReducerModel, transform maps
-rows through it. Kernel PCA is the workhorse; PCA is its linear-kernel
-special case and the two agree on training data up to column signs.
+All four share one surface: fit_reducer builds a ReducerModel holding the
+training rows' coordinates; transform maps other rows. Kernel PCA is the
+workhorse; PCA is its linear-kernel special case, equal up to column signs.
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ class ReducerModel:
 
     method: str
     n_components: int
+    train_embedding: np.ndarray  # coordinates of the rows the model was fitted on
     eigenvalues: np.ndarray | None = None
     # PCA
     mean: np.ndarray | None = None
@@ -97,7 +98,6 @@ class ReducerModel:
     unmixing: np.ndarray | None = None       # maps centered rows to sources
     # ISOMAP
     n_neighbors: int | None = None
-    train_embedding: np.ndarray | None = None
 
 
 @dataclass
@@ -214,6 +214,7 @@ def _fit_pca(X: np.ndarray, k: int) -> ReducerModel:
     return ReducerModel(
         method="PCA",
         n_components=k,
+        train_embedding=centered @ vectors[:, :k],
         eigenvalues=values[:k],
         mean=mean,
         axes=vectors[:, :k],
@@ -231,15 +232,16 @@ def _fit_kpca(X: np.ndarray, k: int, kernel: KernelSpec) -> ReducerModel:
     values, vectors = symmetric_eig(K, k)
     keep = _leading_positive(values, k, "kernel matrix has no positive eigenvalues; nothing to embed")
     top = values[:keep]
-    dual_axes = vectors[:, :keep] / np.sqrt(top)[None, :]
+    root = np.sqrt(top)[None, :]
     return ReducerModel(
         method="KPCA",
         n_components=keep,
+        train_embedding=vectors[:, :keep] * root,
         eigenvalues=top,
         kernel=kernel,
         gamma=gamma,
         train_X=X.copy(),
-        dual_axes=dual_axes,
+        dual_axes=vectors[:, :keep] / root,
         kernel_col_means=col_means,
         kernel_grand_mean=grand_mean,
     )
@@ -280,6 +282,7 @@ def _fit_ica(X: np.ndarray, k: int, seed: int) -> ReducerModel:
     return ReducerModel(
         method="ICA",
         n_components=k,
+        train_embedding=(X - pca.mean) @ unmixing.T,
         eigenvalues=values,
         mean=pca.mean,
         unmixing=unmixing,
@@ -332,14 +335,13 @@ def _fit_isomap(X: np.ndarray, k: int, n_neighbors: int) -> ReducerModel:
     B = np.multiply(geo, -0.5, out=geo)
     values, vectors = symmetric_eig(B, k)
     keep = _leading_positive(values, k, "geodesic Gram matrix has no positive eigenvalues")
-    embedding = vectors[:, :keep] * np.sqrt(values[:keep])[None, :]
     return ReducerModel(
         method="ISOMAP",
         n_components=keep,
+        train_embedding=vectors[:, :keep] * np.sqrt(values[:keep])[None, :],
         eigenvalues=values[:keep],
         n_neighbors=n_neighbors,
         train_X=X.copy(),
-        train_embedding=embedding,
     )
 
 

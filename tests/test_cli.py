@@ -26,6 +26,8 @@ from refractory.cli import (
     main,
 )
 from refractory.errors import ParseError
+from refractory.featurize import read_matrix
+from refractory.reduce import KernelSpec, fit_reducer, read_embedding
 from refractory.synth import GeneratorConfig
 
 SMOKE = """
@@ -219,6 +221,23 @@ def test_roc_plot_is_standalone_svg(finished_run):
     assert "0.1" in svg and "0.9" in svg  # tick labels every 0.1
 
 
+def test_embedding_file_is_the_fit_train_embedding(finished_run):
+    workdir, cfg_path = finished_run
+    cfg = build_config(load_config(cfg_path))
+    model = fit_reducer(
+        cfg.reduce_method,
+        read_matrix(workdir / FEATURES_FILE).values,
+        cfg.n_components,
+        kernel=KernelSpec(cfg.kernel, cfg.gamma),
+        n_neighbors=cfg.n_neighbors,
+        seed=cfg.seed,
+    )
+    written = read_embedding(workdir / EMBEDDING_FILE).values
+    # %.17g round-trips a double exactly, so the file holds the fit's bytes.
+    assert written.shape == model.train_embedding.shape
+    assert written.tobytes() == model.train_embedding.tobytes()
+
+
 def test_run_report_excludes_timings(finished_run):
     workdir, _ = finished_run
     payload = json.loads((workdir / RUN_REPORT_FILE).read_text())
@@ -345,6 +364,12 @@ def test_evaluate_adds_a_classifier_missing_from_estimators(tmp_path):
         "n_signal_codes = 1",
         "noise_scale = -1",
         "shell_radii = 2, 2",
+        "estimators = LOGREG, LOGREG",
+        "alpha_grid = 0.1, 0.1",
+        "depth_grid = 2, 2",
+        "gamma_grid = 0.01, 0.01",
+        "reduce_method = PCA\nkernel = POLY",
+        "reduce_method = ISOMAP\ngamma = -1",
     ],
 )
 def test_bad_config_fails_before_any_stage(tmp_path, capsys, settings):

@@ -128,6 +128,30 @@ def test_ica_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+_COUNTS = np.random.default_rng(15).poisson(1.0, size=(40, 12)).astype(float)
+# Three distinct rows, each four times: a rank-2 centred kernel, so k = 5 drops components.
+_REPEATED = np.repeat(np.random.default_rng(16).poisson(2.0, size=(3, 6)).astype(float), 4, axis=0)
+
+
+@pytest.mark.parametrize(
+    "method, X, k",
+    [("PCA", _COUNTS, 4), ("ICA", _COUNTS, 4), ("KPCA", _COUNTS, 4), ("ISOMAP", _COUNTS, 4), ("KPCA", _REPEATED, 5)],
+    ids=["PCA", "ICA", "KPCA", "ISOMAP", "KPCA-drops-components"],
+)
+def test_train_embedding_is_the_fitted_rows_transform(method, X, k):
+    model = r.fit_reducer(method, X, k, seed=0)
+    assert model.train_embedding.shape == (X.shape[0], model.n_components)
+    mapped = r.transform(model, X).values
+    if method == "KPCA":
+        # sqrt(eigenvalue) * eigenvector, where transform goes through a new Gram.
+        atol = 1e-12 * np.abs(mapped).max()
+        np.testing.assert_allclose(model.train_embedding, mapped, rtol=0, atol=atol)
+    else:
+        assert model.train_embedding.tobytes() == mapped.tobytes()
+    if X is _REPEATED:
+        assert model.n_components < k
+
+
 def test_isomap_collinear_points_preserve_distances():
     t = np.linspace(0.0, 9.0, 10)
     X = np.column_stack([t, 2.0 * t, -t])
