@@ -29,8 +29,6 @@ SVM_RBF = "SVM_RBF"
 
 CLASSIFIERS = (LOGREG, TREE, ADABOOST, GBDT, SVM_LINEAR, SVM_RBF)
 
-_LEAF_HESSIAN_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class ClassifierSpec:
@@ -243,9 +241,10 @@ def _fit_adaboost(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray) -> Trained
 def gbdt_fit(spec: ClassifierSpec, X, y) -> TrainedClassifier:
     """Stage-wise GBDT on the binomial deviance.
 
-    Stage m fits a variance-reduction regression tree to the current
-    pseudo-residuals y - p, replaces each leaf value with the damped Newton
-    step sum(r) / max(sum(p(1-p)), floor) over its members, and adds
+    X is binned once (tree.bin_features). Stage m grows a variance-reduction
+    regression tree on the binned features to the current pseudo-residuals
+    y - p, each node valued at the damped Newton step
+    sum(r) / max(sum(p(1-p)), floor) over its members, and adds
     learning_rate times the tree to the score. The mean training deviance
     after every stage lands in deviance_trace.
     """
@@ -254,23 +253,13 @@ def gbdt_fit(spec: ClassifierSpec, X, y) -> TrainedClassifier:
     base = float(np.log(p_bar / (1.0 - p_bar)))
     score = np.full(X.shape[0], base)
     model = TrainedClassifier(GBDT, spec, X.shape[1], base_score=base)
-
+    codes, thresholds = tree_mod.bin_features(X)
     for _ in range(spec.n_stages):
         p = sigmoid(score)
-        residual = y - p
-        hessian = p * (1.0 - p)
-
-        def newton_leaf(idx: np.ndarray) -> float:
-            return float(residual[idx].sum() / max(hessian[idx].sum(), _LEAF_HESSIAN_FLOOR))
-
-        root = tree_mod.fit_tree(
-            X,
-            residual,
-            criterion=tree_mod.VARIANCE,
-            max_depth=spec.max_depth,
-            leaf_value=newton_leaf,
+        root, leaf = tree_mod.fit_binned_tree(
+            codes, thresholds, y - p, p * (1.0 - p), max_depth=spec.max_depth
         )
-        score = score + spec.learning_rate * tree_mod.predict_tree(root, X)
+        score = score + spec.learning_rate * leaf
         model.stages.append(root)
         model.deviance_trace.append(binomial_deviance(y, score))
     return model

@@ -18,6 +18,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -169,14 +170,13 @@ def build_config(file_values: dict[str, str], overrides: dict | None = None) -> 
         raise ValueError(f"seed={cfg.seed} must be non-negative")
     # Build what the later stages build, so a bad value fails before any stage runs.
     _generator_config(cfg)
+    _check_values("classifier_gamma", lambda g: classify.ClassifierSpec(gamma=g), [cfg.classifier_gamma])
     _classifier_spec(cfg)
-    reduce_mod.KernelSpec(cfg.kernel, cfg.gamma)
-    for alpha in cfg.alpha_grid:
-        _classifier_spec(cfg, learning_rate=alpha)
-    for depth in cfg.depth_grid:
-        _classifier_spec(cfg, max_depth=depth)
-    for gamma in cfg.gamma_grid:
-        reduce_mod.KernelSpec(reduce_mod.RBF, gamma)
+    reduce_mod.KernelSpec(cfg.kernel)
+    _check_values("gamma", lambda g: reduce_mod.KernelSpec(cfg.kernel, g), [cfg.gamma])
+    _check_values("alpha_grid", lambda a: _classifier_spec(cfg, learning_rate=a), cfg.alpha_grid)
+    _check_values("depth_grid", lambda d: _classifier_spec(cfg, max_depth=d), cfg.depth_grid)
+    _check_values("gamma_grid", lambda g: reduce_mod.KernelSpec(reduce_mod.RBF, g), cfg.gamma_grid)
     cluster_mod.ClusterConfig(cluster_mod.KMEANS, cfg.n_clusters, cfg.seed, cfg.restarts)
     if cfg.n_neighbors < 1:
         raise ValueError("n_neighbors must be positive")
@@ -200,6 +200,15 @@ def build_config(file_values: dict[str, str], overrides: dict | None = None) -> 
     if not 2 <= cfg.k_folds <= cfg.resolved_n_per_class:
         raise ValueError(f"k_folds={cfg.k_folds} must be 2 to {cfg.resolved_n_per_class} (per-class count)")
     return cfg
+
+
+def _check_values(key: str, build: Callable, values: Sequence) -> None:
+    """Call build on each value of one config key; a ValueError names the key."""
+    for value in values:
+        try:
+            build(value)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from exc
 
 
 def _workpath(cfg: PipelineConfig, name: str) -> Path:

@@ -23,6 +23,7 @@ from refractory.classify import (
     sigmoid,
     write_model_summary,
 )
+from refractory import tree as tree_mod
 from refractory.errors import ConvergenceError
 from refractory.linalg import pairwise_sq_dists
 
@@ -99,6 +100,25 @@ def test_gbdt_deviance_trace_non_increasing():
     assert np.all(np.diff(trace) <= 1e-12)
     # and it actually improves on the base rate
     assert trace[-1] < binomial_deviance(y, np.full(len(y), model.base_score)) - 0.1
+
+
+def test_gbdt_bins_once_and_never_resorts_or_repredicts(monkeypatch):
+    calls = {"bin_features": 0, "fit_binned_tree": 0, "fit_tree": 0, "predict_tree": 0}
+
+    def counted(name):
+        real = getattr(tree_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tree_mod, name, counted(name))
+    X, y = _blobs(seed=5, gap=1.0)
+    fit_classifier(ClassifierSpec(method=GBDT, n_stages=12, max_depth=3), X, y)
+    assert calls == {"bin_features": 1, "fit_binned_tree": 12, "fit_tree": 0, "predict_tree": 0}
 
 
 def test_gbdt_base_score_is_log_odds():

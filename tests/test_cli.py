@@ -99,6 +99,21 @@ def test_build_config_rejects_unknown_method_names():
         build_config({"estimators": "GBDT, FOREST"})
 
 
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("gamma", "-1"),
+        ("gamma_grid", "0.01, -1"),
+        ("classifier_gamma", "-1"),
+        ("alpha_grid", "0.25, -0.5"),
+        ("depth_grid", "2, -1"),
+    ],
+)
+def test_build_config_value_errors_name_their_key(key, raw):
+    with pytest.raises(ValueError, match=f"^config key {key!r}: "):
+        build_config({key: raw})
+
+
 def test_overrides_beat_file_values():
     cfg = build_config({"seed": "1", "workdir": "a"}, {"seed": 7, "workdir": None})
     assert cfg.seed == 7

@@ -7,6 +7,8 @@ from refractory.tree import (
     TreeNode,
     _entropy_of,
     accumulate_importance,
+    bin_features,
+    fit_binned_tree,
     fit_tree,
     predict_tree,
     tree_depth,
@@ -323,3 +325,172 @@ def test_level_wise_builder_matches_recursive_reference():
                        leaf_value=leaf_value)
         want = _reference_tree(X, y, criterion, depth, w, leaf_value)
         assert repr(got) == repr(want), seed
+
+
+# ---------------------------------------------------------------------------
+# Binned features and the histogram builder
+
+
+def _fit_tree_midpoints(column):
+    """fit_tree's candidate thresholds on one column, written out."""
+    u = np.unique(column)
+    mid = (u[:-1] + u[1:]) / 2.0
+    return np.where(mid == u[1:], u[:-1], mid)
+
+
+def _assert_codes_match_thresholds(X, codes, thresholds):
+    assert codes.dtype == np.uint8 and codes.shape == X.T.shape
+    for f, t in enumerate(thresholds):
+        b = np.arange(len(t))[:, None]
+        np.testing.assert_array_equal(X[:, f][None, :] <= t[:, None], codes[f][None, :] <= b)
+
+
+_BINNED_KINDS = ("normal", "integer-ties", "n-below-64")
+
+
+def _binned_case(seed):
+    """Rows of kind _BINNED_KINDS[seed % 3], with a gradient r, a positive
+    hessian h and a depth cap."""
+    rng = np.random.default_rng(seed)
+    kind = _BINNED_KINDS[seed % 3]
+    n = int(rng.integers(2, 64)) if kind == "n-below-64" else int(rng.integers(64, 300))
+    d = int(rng.integers(1, 6))
+    if kind == "integer-ties":
+        X = rng.integers(0, 12, size=(n, d)).astype(float)
+    else:
+        X = rng.normal(size=(n, d))
+    return X, rng.normal(size=n), rng.random(n), int(rng.integers(0, 7))
+
+
+def test_bin_features_keeps_every_fit_tree_midpoint_at_64_values_or_fewer():
+    rng = np.random.default_rng(0)
+    X = np.column_stack([
+        rng.permutation(np.arange(300) % 64).astype(float),  # 64 distinct values
+        np.round(rng.normal(size=300), 1),            # about 40
+        np.tile([1.0 + 2.0**-52, 1.0 + 2.0**-51], 150),
+    ])
+    assert len(np.unique(X[:, 0])) == 64
+    codes, thresholds = bin_features(X)
+    for f in range(X.shape[1]):
+        np.testing.assert_array_equal(thresholds[f], _fit_tree_midpoints(X[:, f]))
+    assert thresholds[2].tolist() == [1.0 + 2.0**-52]
+    adjacent = fit_tree(X[:2, 2:], np.array([0.0, 1.0]), max_depth=1, criterion=VARIANCE)
+    assert adjacent.threshold == thresholds[2][0]
+    _assert_codes_match_thresholds(X, codes, thresholds)
+
+
+def test_bin_features_constant_column_never_splits():
+    rng = np.random.default_rng(1)
+    X = np.column_stack([np.full(80, 3.0), rng.normal(size=80)])
+    codes, thresholds = bin_features(X)
+    assert len(thresholds[0]) == 0
+    np.testing.assert_array_equal(codes[0], 0)
+    root, _ = fit_binned_tree(codes, thresholds, rng.normal(size=80), np.ones(80), max_depth=5)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            assert node.feature == 1
+            stack += [node.left, node.right]
+    codes, thresholds = bin_features(X[:, :1])
+    root, leaf = fit_binned_tree(codes, thresholds, rng.normal(size=80), np.ones(80), max_depth=5)
+    assert root.is_leaf and (leaf == root.value).all()
+
+
+def test_bin_features_quantile_boundaries_over_64_values():
+    rng = np.random.default_rng(2)
+    n = 64 * 7
+    X = np.column_stack([
+        np.where(rng.random(n) < 0.4, 0.0, rng.poisson(1000, n)),  # 40% tied at zero
+        np.round(rng.normal(size=n), 2),  # about 250 distinct values, many tied
+        rng.permutation(n).astype(float),  # all distinct
+    ])
+    codes, thresholds = bin_features(X)
+    for f, t in enumerate(thresholds):
+        column = X[:, f]
+        assert len(np.unique(column)) > 64
+        assert 1 <= len(t) <= 63
+        assert (np.diff(t) > 0).all()
+        # Each threshold sits at a boundary between consecutive distinct values.
+        for threshold in t:
+            lo, hi = column[column <= threshold].max(), column[column > threshold].min()
+            assert threshold == _fit_tree_midpoints(np.array([lo, hi]))[0]
+    # Distinct values fill the 64 quantile bins equally; the zeros fill one.
+    np.testing.assert_array_equal(np.bincount(codes[2]), np.full(64, 7))
+    assert np.bincount(codes[0])[0] == (X[:, 0] == 0).sum()
+    _assert_codes_match_thresholds(X, codes, thresholds)
+
+
+def _reference_binned_split(codes, thresholds, r, idx):
+    """Every (feature, bin) of one node scored by brute force, as
+    (G_L^2/n_L + G_R^2/n_R - G^2/n) / n clipped at 0; ties within 1e-12 go to
+    the lowest feature, then the lowest bin."""
+    n, G = idx.size, r[idx].sum()
+    if n < 2 or np.var(r[idx]) <= 1e-12:
+        return None
+    scores = np.full((len(thresholds), 64), -np.inf)
+    for f, t in enumerate(thresholds):
+        for b in range(len(t)):
+            left = codes[f, idx] <= b
+            n_left = int(left.sum())
+            if 0 < n_left < n:
+                g_left, g_right = r[idx][left].sum(), r[idx][~left].sum()
+                decrease = (g_left**2 / n_left + g_right**2 / (n - n_left) - G**2 / n) / n
+                scores[f, b] = max(decrease, 0.0)
+    col_best = scores.max(axis=1)
+    if not np.isfinite(col_best.max()):
+        return None
+    f = int(np.argmax(col_best >= col_best.max() - 1e-12))
+    b = int(np.argmax(scores[f] >= col_best[f] - 1e-12))
+    return f, b, float(scores[f, b])
+
+
+def _newton_step(r, h):
+    # Summed in row order, as the builder's per-node bincount sums are.
+    return float(np.cumsum(r)[-1] / max(np.cumsum(h)[-1], 1e-12))
+
+
+def test_binned_builder_matches_brute_force_reference():
+    for seed in range(60):
+        X, r, h, max_depth = _binned_case(seed)
+        codes, thresholds = bin_features(X)
+        root, _ = fit_binned_tree(codes, thresholds, r, h, max_depth=max_depth)
+        stack = [(root, np.arange(len(r)), 0)]
+        while stack:
+            node, idx, depth = stack.pop()
+            assert node.n_samples == idx.size and node.weight == idx.size, seed
+            assert node.value == _newton_step(r[idx], h[idx]), seed
+            found = None if depth == max_depth else _reference_binned_split(codes, thresholds, r, idx)
+            if found is None:
+                assert node.is_leaf, seed
+                continue
+            f, b, decrease = found
+            assert (node.feature, node.threshold) == (f, thresholds[f][b]), seed
+            assert node.gain == pytest.approx(decrease * idx.size, rel=1e-9, abs=1e-12), seed
+            left = codes[f, idx] <= b
+            stack += [(node.left, idx[left], depth + 1), (node.right, idx[~left], depth + 1)]
+
+
+@pytest.mark.parametrize("kind", _BINNED_KINDS)
+def test_binned_leaf_values_equal_predict_tree(kind):
+    for seed in range(_BINNED_KINDS.index(kind), 90, 3):
+        X, r, h, max_depth = _binned_case(seed)
+        root, leaf = fit_binned_tree(*bin_features(X), r, h, max_depth=max_depth)
+        np.testing.assert_array_equal(leaf, predict_tree(root, X))
+
+
+def test_binned_max_depth_zero_is_one_leaf():
+    X, r, h, _ = _binned_case(0)
+    root, leaf = fit_binned_tree(*bin_features(X), r, h, max_depth=0)
+    assert root.is_leaf
+    assert root.value == _newton_step(r, h)
+    np.testing.assert_array_equal(leaf, root.value)
+
+
+def test_binned_repeat_fits_are_identical():
+    for seed in range(12):
+        X, r, h, max_depth = _binned_case(seed)
+        first = fit_binned_tree(*bin_features(X), r, h, max_depth=max_depth)
+        second = fit_binned_tree(*bin_features(X), r, h, max_depth=max_depth)
+        assert repr(first[0]) == repr(second[0])
+        np.testing.assert_array_equal(first[1], second[1])
