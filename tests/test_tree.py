@@ -494,3 +494,96 @@ def test_binned_repeat_fits_are_identical():
         second = fit_binned_tree(*bin_features(X), r, h, max_depth=max_depth)
         assert repr(first[0]) == repr(second[0])
         np.testing.assert_array_equal(first[1], second[1])
+
+
+# ---------------------------------------------------------------------------
+# fit_tree's contract at the scale TREE and AdaBoost fit it
+
+
+@pytest.mark.parametrize("y", [[-1.0, 1.0, -1.0, 1.0], [0.0, 2.0, 0.0, 2.0], [0.0, 0.5, 1.0, 1.0]])
+def test_entropy_rejects_targets_outside_zero_and_one(y):
+    X = np.arange(4.0)[:, None]
+    with pytest.raises(ValueError, match="0 or 1"):
+        fit_tree(X, np.array(y), criterion=ENTROPY, max_depth=3)
+    # The variance criterion takes any real target.
+    assert not fit_tree(X, np.array(y), criterion=VARIANCE, max_depth=3).is_leaf
+
+
+def _nodes_breadth_first(root, X):
+    """(node, ascending row indices) for every node, in breadth-first order."""
+    out, level = [], [(root, np.arange(X.shape[0]))]
+    while level:
+        out += level
+        below = []
+        for node, idx in level:
+            if not node.is_leaf:
+                go_left = X[idx, node.feature] <= node.threshold
+                below += [(node.left, idx[go_left]), (node.right, idx[~go_left])]
+        level = below
+    return out
+
+
+@pytest.mark.parametrize("criterion", [ENTROPY, VARIANCE])
+def test_leaf_value_is_called_once_per_node_breadth_first(criterion):
+    rng = np.random.default_rng(7)
+    X = np.round(rng.normal(size=(120, 3)), 1)
+    y = (X[:, 0] * X[:, 1] + 0.5 * rng.normal(size=120) > 0).astype(float)
+    w = rng.random(120) * (rng.random(120) < 0.8)
+    calls = []
+
+    def leaf_value(idx):
+        calls.append(np.array(idx))
+        return float(len(calls))
+
+    root = fit_tree(X, y, criterion=criterion, max_depth=4, sample_weight=w, leaf_value=leaf_value)
+    nodes = _nodes_breadth_first(root, X)
+    assert len(nodes) > 15  # deep enough that breadth-first and depth-first orders differ
+    assert len(calls) == len(nodes)
+    for k, ((node, idx), seen) in enumerate(zip(nodes, calls)):
+        assert node.value == k + 1
+        assert (np.diff(seen) > 0).all()
+        np.testing.assert_array_equal(seen, idx)
+
+
+def _assert_matches_reference(X, y, criterion, max_depth, w=None):
+    got = fit_tree(X, y, criterion=criterion, max_depth=max_depth, sample_weight=w)
+    want = _reference_tree(X, y, criterion, max_depth, w, None)
+    assert repr(got) == repr(want)
+    return got
+
+
+def test_depth_five_tree_matches_reference_at_343_by_20():
+    # TREE's traffic: one unweighted depth-5 entropy tree per CV fold, on
+    # 343 continuous embedding rows of 20 components.
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(343, 20))
+    y = (np.sin(2 * X[:, 0]) + X[:, 1] * X[:, 2] + 0.3 * rng.normal(size=343) > 0).astype(float)
+    root = _assert_matches_reference(X, y, ENTROPY, 5)
+    assert tree_depth(root) == 5
+
+
+def test_adaboost_stumps_match_reference_at_343_by_20():
+    # AdaBoost's traffic: 100 entropy stumps, each under the discrete
+    # AdaBoost weights the stumps before it leave.
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(343, 20))
+    y = (X[:, 0] ** 2 + X[:, 1] ** 2 + 0.5 * rng.normal(size=343) > 1.4).astype(float)
+    w = np.full(343, 1.0 / 343)
+    for _ in range(100):
+        stump = _assert_matches_reference(X, y, ENTROPY, 1, w)
+        wrong = (predict_tree(stump, X) >= 0.5) != (y == 1.0)
+        err = w[wrong].sum() / w.sum()
+        assert 0.0 < err < 0.5
+        alpha = 0.5 * np.log((1.0 - err) / err)
+        w = w * np.exp(np.where(wrong, alpha, -alpha))
+        w /= w.sum()
+
+
+@pytest.mark.parametrize("criterion", [ENTROPY, VARIANCE])
+def test_tied_rows_with_zero_weights_match_reference_at_320_rows(criterion):
+    rng = np.random.default_rng(13)
+    X = rng.integers(0, 5, size=(320, 8)).astype(float)
+    y = (X[:, 0] + X[:, 1] + rng.integers(0, 3, 320) > 5).astype(float)
+    w = rng.random(320) * (rng.random(320) < 0.6)
+    root = _assert_matches_reference(X, y, criterion, 5, w)
+    assert tree_depth(root) == 5

@@ -7,6 +7,10 @@ thread, in the same absolute work directory, since ``run_report.json``
 echoes the workdir. The commands are:
 
 - ``run-all --seed 0`` and ``run-all --seed 1`` at the default config;
+- ``run-all --seed 0`` with ``classifier = estimators = TREE``, and again
+  with ``classifier = estimators = ADABOOST``, each in its own work
+  directory, so the exact trees' ``model_summary.json`` (their gains are the
+  feature importances) is compared as well as GBDT's;
 - ``train --sweep`` with ``gamma_grid = 0.01`` in the seed-0 directory;
 - ``synth``, ``cohort``, ``featurize``, ``reduce`` and ``cluster-sweep`` at
   ``n_case = n_control = 1000``, seed 0.
@@ -37,6 +41,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SWEEP_CONFIG = "gamma_grid = 0.01\n"
 STAGES_CONFIG = "n_case = 1000\nn_control = 1000\n"
 STAGES = ("cohort", "featurize", "reduce", "cluster-sweep")
+EXACT_TREES = ("TREE", "ADABOOST")  # the classifiers grown by tree.fit_tree
 
 
 def commands(root: Path, work: Path) -> list[list[str]]:
@@ -47,6 +52,10 @@ def commands(root: Path, work: Path) -> list[list[str]]:
         ["run-all", "--seed", "0", "--workdir", str(seed0)],
         ["run-all", "--seed", "1", "--workdir", str(seed1)],
         ["train", "--sweep", "--config", str(sweep), "--seed", "0", "--workdir", str(seed0)],
+        *[
+            ["run-all", "--config", str(root / f"{name}.cfg"), "--seed", "0", "--workdir", str(work / name)]
+            for name in EXACT_TREES
+        ],
         ["synth", *big_args, "--out", str(big / "events.csv")],
         *[[stage, *big_args] for stage in STAGES],
     ]
@@ -130,6 +139,8 @@ def main(argv: list[str]) -> int:
     root = Path(tempfile.mkdtemp(prefix="artifact-diff-"))
     (root / "sweep.cfg").write_text(SWEEP_CONFIG)
     (root / "stages.cfg").write_text(STAGES_CONFIG)
+    for name in EXACT_TREES:
+        (root / f"{name}.cfg").write_text(f"classifier = {name}\nestimators = {name}\n")
     work = root / "work"
     failed = 0
     for side, tree in trees.items():
