@@ -245,15 +245,14 @@ def _generator_config(cfg: PipelineConfig) -> synth.GeneratorConfig:
 # Stage commands
 
 
-def cmd_synth(cfg: PipelineConfig, out: Path) -> dict:
+def cmd_synth(cfg: PipelineConfig, out: Path) -> None:
     table = synth.generate_events(_generator_config(cfg))
     events_mod.write_events(table, out)
     n_patients = len(table.patient_ids())
     print(f"wrote {out}: {len(table)} events for {n_patients} patients")
-    return {"events": len(table), "patients": n_patients}
 
 
-def cmd_cohort(cfg: PipelineConfig) -> dict:
+def cmd_cohort(cfg: PipelineConfig) -> None:
     path = _require(cfg, EVENTS_FILE, "synth")
     table = events_mod.read_events(path)
     labeled = cohort_mod.label_timelines(cohort_mod.build_timelines(table))
@@ -261,10 +260,9 @@ def cmd_cohort(cfg: PipelineConfig) -> dict:
     out = _workpath(cfg, COHORT_FILE)
     cohort_mod.write_cohort(sampled, out)
     print(f"wrote {out}: {len(sampled.patients)} patients ({cfg.resolved_n_per_class} per class)")
-    return {"patients": len(sampled.patients)}
 
 
-def cmd_featurize(cfg: PipelineConfig) -> dict:
+def cmd_featurize(cfg: PipelineConfig) -> None:
     events_path = _require(cfg, EVENTS_FILE, "synth")
     cohort_path = _require(cfg, COHORT_FILE, "cohort")
     table = events_mod.read_events(events_path)
@@ -281,10 +279,9 @@ def cmd_featurize(cfg: PipelineConfig) -> dict:
     out = _workpath(cfg, FEATURES_FILE)
     write_matrix(matrix, out)
     print(f"wrote {out}: {matrix.values.shape[0]} x {matrix.values.shape[1]} counts")
-    return {"rows": matrix.values.shape[0], "columns": matrix.values.shape[1]}
 
 
-def cmd_reduce(cfg: PipelineConfig) -> dict:
+def cmd_reduce(cfg: PipelineConfig) -> None:
     path = _require(cfg, FEATURES_FILE, "featurize")
     matrix = read_matrix(path)
     values = matrix.values.astype(float)
@@ -302,10 +299,9 @@ def cmd_reduce(cfg: PipelineConfig) -> dict:
     reduce_mod.write_embedding(embedding, out)
     n, k = embedding.values.shape
     print(f"wrote {out}: {n} x {k} {cfg.reduce_method} embedding")
-    return {"rows": n, "components": k}
 
 
-def cmd_cluster_sweep(cfg: PipelineConfig) -> dict:
+def cmd_cluster_sweep(cfg: PipelineConfig) -> None:
     path = _require(cfg, FEATURES_FILE, "featurize")
     matrix = read_matrix(path)
     if matrix.labels is None:
@@ -324,7 +320,6 @@ def cmd_cluster_sweep(cfg: PipelineConfig) -> dict:
     cluster_mod.write_sweep(cells, out)
     failed = sum(1 for c in cells if c.status != "ok")
     print(f"wrote {out}: {len(cells)} cells" + (f" ({failed} failed)" if failed else ""))
-    return {"cells": len(cells), "failed": failed}
 
 
 def _load_xy(cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +336,7 @@ def _load_xy(cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
     return embedding.values, y
 
 
-def cmd_train(cfg: PipelineConfig, sweep: bool = False) -> dict:
+def cmd_train(cfg: PipelineConfig, sweep: bool = False) -> None:
     X, y = _load_xy(cfg)
     if not sweep:
         spec = _classifier_spec(cfg)
@@ -350,7 +345,7 @@ def cmd_train(cfg: PipelineConfig, sweep: bool = False) -> dict:
         out = _workpath(cfg, MODEL_FILE)
         classify.write_model_summary(summary, out)
         print(f"wrote {out}: {spec.method} on {X.shape[0]} x {X.shape[1]}")
-        return {"method": spec.method}
+        return
 
     if not cfg.alpha_grid or not cfg.depth_grid:
         raise ValueError("alpha_grid and depth_grid must be non-empty for train --sweep")
@@ -368,7 +363,6 @@ def cmd_train(cfg: PipelineConfig, sweep: bool = False) -> dict:
             return model.train_embedding, gbdt
 
         _cv_sweep(cfg, y, "gamma", GAMMA_SWEEP_FILE, cfg.gamma_grid, kpca)
-    return {"alpha_rows": len(cfg.alpha_grid), "depth_rows": len(cfg.depth_grid)}
 
 
 def _cv_sweep(cfg: PipelineConfig, y: np.ndarray, name: str, file: str, grid, case) -> None:

@@ -55,8 +55,9 @@ class ClusterAssignment:
     """Labels plus the method's objective and its per-iteration trace.
 
     The trace is the Lloyd inertia path for KMEANS (and for SPECTRAL's
-    k-means stage), the log-likelihood path for GMM, and the merge-cost
-    sequence for AGGLOMERATIVE.
+    k-means stage), one entry per distance pass, so a converged run ends
+    on the pass whose labels repeated; the log-likelihood path for GMM;
+    and the merge-cost sequence for AGGLOMERATIVE.
     """
 
     labels: np.ndarray
@@ -74,14 +75,8 @@ def fit_clusters(config: ClusterConfig, X) -> ClusterAssignment:
         raise ValueError(
             f"n_clusters={config.n_clusters} exceeds the number of rows {data.shape[0]}"
         )
-    if config.method == KMEANS:
-        labels, _, inertia, trace = _kmeans(data, config)
-        return ClusterAssignment(labels, inertia, trace)
-    if config.method == GMM:
-        return _gmm(data, config)
-    if config.method == SPECTRAL:
-        return _spectral(data, config)
-    return _agglomerative(data, config)
+    fit = {KMEANS: _kmeans, GMM: _gmm, SPECTRAL: _spectral, AGGLOMERATIVE: _agglomerative}[config.method]
+    return fit(data, config)
 
 
 # ---------------------------------------------------------------------------
@@ -103,48 +98,37 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _lloyd(
-    X: np.ndarray, centers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    k = centers.shape[0]
+def _lloyd(X: np.ndarray, centers: np.ndarray) -> ClusterAssignment:
+    """Lloyd passes from centers, until one repeats the last pass's labels or
+    follows _LLOYD_MAX_ITER center updates. The trace has each pass's inertia."""
+    rows = np.arange(X.shape[0])
     labels = np.full(X.shape[0], -1)
     trace: list[float] = []
-    for _ in range(_LLOYD_MAX_ITER):
+    for updates in range(_LLOYD_MAX_ITER + 1):
         d2 = pairwise_sq_dists(X, centers)
         new_labels = d2.argmin(axis=1)
-        inertia = float(d2[np.arange(X.shape[0]), new_labels].sum())
-        trace.append(inertia)
-        if np.array_equal(new_labels, labels):
-            break
+        trace.append(float(d2[rows, new_labels].sum()))
+        if updates == _LLOYD_MAX_ITER or np.array_equal(new_labels, labels):
+            return ClusterAssignment(new_labels, trace[-1], trace)
         labels = new_labels
-        for i in range(k):
+        for i in range(centers.shape[0]):
             members = labels == i
             if members.any():
                 centers[i] = X[members].mean(axis=0)
             else:
                 # Re-seed an emptied cluster on the point farthest from its center.
-                worst = int(d2[np.arange(X.shape[0]), labels].argmax())
+                worst = int(d2[rows, labels].argmax())
                 centers[i] = X[worst]
                 labels[worst] = i
-    d2 = pairwise_sq_dists(X, centers)
-    labels = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(X.shape[0]), labels].sum())
-    trace.append(inertia)
-    return labels, centers, inertia, trace
 
 
-def _kmeans(
-    X: np.ndarray, config: ClusterConfig
-) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """Best of `restarts` k-means++ / Lloyd runs, chosen by final inertia."""
-    best = None
-    for restart in range(config.restarts):
+def _kmeans(X: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
+    """Best of `restarts` k-means++ / Lloyd runs: the first with the lowest inertia."""
+    def run(restart: int) -> ClusterAssignment:
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, restart)))
-        centers = _kmeans_pp_init(X, config.n_clusters, rng)
-        labels, centers, inertia, trace = _lloyd(X, centers)
-        if best is None or inertia < best[2]:
-            best = (labels, centers, inertia, trace)
-    return best
+        return _lloyd(X, _kmeans_pp_init(X, config.n_clusters, rng))
+
+    return min(map(run, range(config.restarts)), key=lambda fit: fit.objective)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +149,7 @@ def _log_gaussian_diag(X: np.ndarray, means: np.ndarray, variances: np.ndarray) 
 
 def _gmm(X: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
     k = config.n_clusters
-    labels, _, _, _ = _kmeans(X, config)
+    labels = _kmeans(X, config).labels
     means = np.empty((k, X.shape[1]))
     variances = np.empty((k, X.shape[1]))
     weights = np.empty(k)
@@ -221,8 +205,7 @@ def _spectral(X: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
     _, rows = symmetric_eig(affinity, config.n_clusters)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     rows = rows / np.maximum(norms, 1e-300)
-    labels, _, inertia, trace = _kmeans(rows, config)
-    return ClusterAssignment(labels, inertia, trace)
+    return _kmeans(rows, config)
 
 
 # ---------------------------------------------------------------------------

@@ -222,13 +222,13 @@ def stratified_folds(y: Sequence[int], k: int, seed: int) -> list[np.ndarray]:
     if counts.size and k > counts.min():
         raise ValueError(f"k={k} exceeds the {counts.min()} members of the smallest class")
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    fold_of = np.empty(y.shape[0], dtype=np.int64)
     for cls in classes:
         idx = np.flatnonzero(y == cls)
         rng.shuffle(idx)
-        for pos, sample in enumerate(idx):
-            folds[pos % k].append(int(sample))
-    return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
+        for f in range(k):
+            fold_of[idx[f::k]] = f
+    return [np.flatnonzero(fold_of == f).astype(np.int64, copy=False) for f in range(k)]
 
 
 def cross_val_proba(

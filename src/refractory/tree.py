@@ -178,15 +178,25 @@ def _best_split(
         valid &= (left > 0) & (left < left[:, -1:])
     gains = np.where(valid, np.maximum(impurity - child, 0.0), -np.inf)
 
-    col_best = gains.max(axis=1)
-    best = col_best.max(initial=-np.inf)  # -inf also when X has no columns
-    if not np.isfinite(best):
+    found = _near_best(gains[None])
+    if found is None:
         return None
-    # Near-ties (within _TINY) snap together; the first hit is then the
-    # lowest feature index and, within that feature, the lowest threshold.
-    f = int(np.argmax(col_best >= best - _TINY))
-    pos = int(np.argmax(gains[f] >= col_best[f] - _TINY))
+    f, pos = int(found[1][0]), int(found[2][0])
     return f, float(_midpoint(sv[f, pos], sv[f, pos + 1])), float(gains[f, pos])
+
+
+def _near_best(score: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(nodes with a finite best, feature, boundary) of a (nodes, features,
+    boundaries) score array, or None. Near-ties (within _TINY) snap together;
+    the first hit is the lowest feature, then the lowest boundary."""
+    col_best = score.max(axis=2, initial=-np.inf)
+    best = col_best.max(axis=1, initial=-np.inf)  # -inf also when there are no features
+    nodes = np.flatnonzero(np.isfinite(best))
+    if nodes.size == 0:
+        return None
+    feature = np.argmax(col_best[nodes] >= best[nodes, None] - _TINY, axis=1)
+    at = np.argmax(score[nodes, feature] >= col_best[nodes, feature][:, None] - _TINY, axis=1)
+    return nodes, feature, at
 
 
 def _midpoint(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -357,17 +367,11 @@ def _best_bins(
     np.maximum(score, 0.0, out=score)
     score[~valid] = -np.inf
 
-    col_best = score.max(axis=2, initial=-np.inf)
-    best = col_best.max(axis=1, initial=-np.inf)  # -inf also when there are no features
-    split = np.flatnonzero(np.isfinite(best))
-    if split.size == 0:
+    found = _near_best(score)
+    if found is None:
         return None
-    # Near-ties snap together; the first hit is then the lowest feature and,
-    # within that feature, the lowest bin.
-    feature = np.argmax(col_best[split] >= best[split, None] - _TINY, axis=1)
-    in_feature = score[split, feature]
-    bin_ = np.argmax(in_feature >= col_best[split, feature][:, None] - _TINY, axis=1)
-    return split, feature, bin_, in_feature[np.arange(split.size), bin_]
+    split, feature, bin_ = found
+    return split, feature, bin_, score[split, feature, bin_]
 
 
 def predict_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:

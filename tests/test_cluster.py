@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from refractory import cluster as cluster_mod
 from refractory.cluster import (
     AGGLOMERATIVE,
     CLUSTER_METHODS,
@@ -14,6 +15,7 @@ from refractory.cluster import (
     fit_clusters,
     write_sweep,
 )
+from refractory.linalg import pairwise_sq_dists
 from refractory.metrics import adjusted_rand
 
 
@@ -72,6 +74,36 @@ def test_kmeans_inertia_matches_direct_computation():
         pts = X[out.labels == c]
         inertia += ((pts - pts.mean(axis=0)) ** 2).sum()
     assert abs(out.objective - inertia) < 1e-8
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lloyd_stops_at_the_first_repeated_assignment(monkeypatch, seed):
+    passes = []
+
+    def recorded(X, Y=None):
+        d2 = pairwise_sq_dists(X, Y)
+        passes.append(d2.argmin(axis=1))
+        return d2
+
+    monkeypatch.setattr(cluster_mod, "pairwise_sq_dists", recorded)
+    X, _ = _three_blobs(gap=3.0, seed=4)
+    out = fit_clusters(ClusterConfig(method=KMEANS, n_clusters=3, seed=seed, restarts=1), X)
+    assert len(passes) == len(out.trace) >= 2
+    # Only the last two passes agree: no pass follows the first repeat.
+    for before, after in zip(passes[:-2], passes[1:-1]):
+        assert not np.array_equal(before, after)
+    np.testing.assert_array_equal(passes[-1], passes[-2])
+    np.testing.assert_array_equal(out.labels, passes[-1])
+
+
+def test_lloyd_stops_at_its_cap_when_a_reseed_flips_back_and_forth():
+    # Three clusters over two distinct rows: one cluster always empties,
+    # and its re-seed flips between the pairs, so no assignment repeats.
+    X = np.array([[0.0], [0.0], [1.0], [1.0]])
+    out = fit_clusters(ClusterConfig(method=KMEANS, n_clusters=3, seed=0, restarts=1), X)
+    assert len(out.trace) == cluster_mod._LLOYD_MAX_ITER + 1
+    np.testing.assert_array_equal(out.labels, [1, 1, 0, 0])
+    assert out.objective == out.trace[-1]
 
 
 def test_gmm_log_likelihood_trace_non_decreasing():

@@ -298,6 +298,30 @@ def test_stratified_folds_deterministic_and_seed_sensitive():
     assert any(not np.array_equal(fa, fc) for fa, fc in zip(a, c))
 
 
+def _dealt_one_at_a_time(y, k, seed):
+    """Reference folds: each class shuffled, then dealt one sample at a time."""
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    for cls in np.unique(y):
+        idx = np.flatnonzero(y == cls)
+        rng.shuffle(idx)
+        for pos, sample in enumerate(idx):
+            folds[pos % k].append(int(sample))
+    return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
+
+
+def test_stratified_folds_match_a_one_at_a_time_deal():
+    rng = np.random.default_rng(21)
+    for _ in range(100):
+        n_classes = int(rng.integers(2, 4))
+        y = np.concatenate([np.arange(n_classes).repeat(2), rng.integers(0, n_classes, size=rng.integers(0, 120))])
+        k = int(rng.integers(2, np.bincount(y).min() + 1))
+        seed = int(rng.integers(1000))
+        for fold, expected in zip(stratified_folds(y, k, seed), _dealt_one_at_a_time(y, k, seed), strict=True):
+            assert fold.dtype == np.int64
+            np.testing.assert_array_equal(fold, expected)
+
+
 def test_folds_reject_k_below_two():
     with pytest.raises(ValueError):
         stratified_folds(np.array([0, 1] * 5), 1, seed=0)
