@@ -80,6 +80,18 @@ def _indices(label: str, column, size: int) -> np.ndarray:
     return column
 
 
+def _ascending(keys: Sequence[np.ndarray]) -> bool:
+    """Whether the rows of the key columns (most significant first) are in
+    non-decreasing lexicographic order, so a stable lexsort would keep them."""
+    tied = np.ones(max(len(keys[0]) - 1, 0), dtype=bool)  # adjacent rows equal on every key so far
+    for key in keys:
+        before, after = key[:-1], key[1:]
+        if (tied & (before > after)).any():
+            return False
+        tied &= before == after
+    return True
+
+
 class EventTable:
     """An event stream held in canonical order, as integer columns.
 
@@ -108,7 +120,16 @@ class EventTable:
         """A table from index columns: patient indexes ids, code indexes codes
         and kind indexes EVENT_KINDS. The dictionaries hold distinct valid
         names in any order; days are non-negative. Rows may come in any order.
+        The table neither shares nor freezes the caller's arrays.
         """
+        # patient and code are always remapped into new arrays; rows already
+        # in order keep kind and day as given, so those two are copied here.
+        return cls._adopt(ids, codes, patient, np.array(kind, dtype=np.int64), code, np.array(day, dtype=np.int64))
+
+    @classmethod
+    def _adopt(cls, ids, codes, patient, kind, code, day) -> EventTable:
+        """from_columns for columns no one else holds, which the table may keep
+        without a copy."""
         table = cls.__new__(cls)
         table._canonical(ids, codes, patient, kind, code, day)
         return table
@@ -124,8 +145,11 @@ class EventTable:
             raise ValueError("columns differ in length")
         if day.size and day.min() < 0:
             raise ValueError("day must be non-negative")
-        order = np.lexsort((code, kind, day, patient))
-        self._assign(ids, codes, patient[order], kind[order], code[order], day[order])
+        keys = (patient, day, kind, code)
+        if not _ascending(keys):
+            order = np.lexsort(keys[::-1])
+            patient, day, kind, code = (key[order] for key in keys)
+        self._assign(ids, codes, patient, kind, code, day)
 
     def _assign(self, ids, codes, patient, kind, code, day) -> None:
         # Views share their columns, so no holder may write to them.
@@ -227,7 +251,7 @@ def read_events(path: str | Path) -> EventTable:
     (ids, patient), (kinds, kind), (codes, code), (days, day) = columns
     kind = np.array([_KIND_INDEX[name] for name in kinds], dtype=np.int64)[kind]
     day = np.array([int(field) for field in days], dtype=np.int64)[day]
-    return EventTable.from_columns(ids, codes, patient, kind, code, day)
+    return EventTable._adopt(ids, codes, patient, kind, code, day)
 
 
 def write_events(table: EventTable, path: str | Path) -> None:

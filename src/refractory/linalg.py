@@ -37,14 +37,15 @@ def symmetric_eig(matrix: np.ndarray, k: int | None = None) -> tuple[np.ndarray,
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     n = A.shape[0]
-    if not _is_symmetric(A):
+    scale = _symmetric_scale(A)
+    if scale is None:
         raise ValueError("matrix is not symmetric")
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"k={k} must lie in [1, {n}]")
     # ARPACK refuses k >= n, and from 2k >= n its default basis of 2k + 1
     # Lanczos vectors would span the whole space; it cannot start on a zero
-    # matrix.
-    if k is None or 2 * k >= n or not A.any():
+    # matrix, which is the symmetric matrix with max |A| = 0.
+    if k is None or 2 * k >= n or scale == 0.0:
         values, vectors = np.linalg.eigh(A)
     else:
         from scipy.sparse.linalg import ArpackNoConvergence
@@ -86,14 +87,41 @@ def pairwise_sq_dists(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(d2, 0.0, out=d2)
 
 
+def _symmetric_scale(A: np.ndarray) -> float | None:
+    """max |A| when np.allclose(A, A.T, rtol=0, atol=1e-8 * max(1, max |A|))
+    holds, None when it does not.
+
+    With rtol = 0 the test on a finite pair is |a - b| <= atol, which is
+    symmetric in a and b, so only the block pairs on and above the diagonal
+    are read: each is A[s:e, t:u] against A[t:u, s:e].T, differenced in one
+    reused buffer. A pair whose largest difference is finite and within
+    atol passes. Any other pair (a NaN, an infinity, a real asymmetry) is
+    settled by np.allclose in both directions, so the answer, equal
+    infinities included, is that of the whole-matrix form.
+    """
+    n = A.shape[0]
+    scale = float(max(A.max(initial=0.0), -A.min(initial=0.0)))
+    atol = 1e-8 * max(1.0, scale)
+    buf = np.empty((min(n, _ROW_BLOCK), min(n, _ROW_BLOCK)))
+    for s in range(0, n, _ROW_BLOCK):
+        for t in range(s, n, _ROW_BLOCK):
+            upper, lower = A[s:s + _ROW_BLOCK, t:t + _ROW_BLOCK], A[t:t + _ROW_BLOCK, s:s + _ROW_BLOCK]
+            diff = buf[: upper.shape[0], : upper.shape[1]]
+            with np.errstate(invalid="ignore", over="ignore"):
+                np.subtract(upper, lower.T, out=diff)
+            worst = np.abs(diff, out=diff).max()
+            if worst <= atol and np.isfinite(worst):
+                continue
+            if not (
+                np.allclose(upper, lower.T, rtol=0.0, atol=atol) and np.allclose(lower, upper.T, rtol=0.0, atol=atol)
+            ):
+                return None
+    return scale
+
+
 def _is_symmetric(A: np.ndarray) -> bool:
-    """np.allclose(A, A.T, rtol=0, atol=1e-8 * max(1, max |A|)), taken over row
-    blocks A[s:e] against A[:, s:e].T so no n x n temporary is made. A NaN
-    anywhere fails the check, as it does in the whole-matrix form."""
-    blocks = [slice(start, start + _ROW_BLOCK) for start in range(0, A.shape[0], _ROW_BLOCK)]
-    scale = np.max([np.abs(A[b]).max(initial=0.0) for b in blocks], initial=0.0)
-    atol = 1e-8 * max(1.0, float(scale))
-    return all(np.allclose(A[b], A[:, b].T, rtol=0.0, atol=atol) for b in blocks)
+    """Whether A passes symmetric_eig's symmetry check."""
+    return _symmetric_scale(A) is not None
 
 
 def rbf_gram(X: np.ndarray, Y: np.ndarray | None, gamma: float) -> np.ndarray:

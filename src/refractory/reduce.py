@@ -289,6 +289,27 @@ def _fit_ica(X: np.ndarray, k: int, seed: int) -> ReducerModel:
     )
 
 
+def _nearest_columns(d2: np.ndarray, k: int) -> np.ndarray:
+    """Each row's first k columns in stable (value, column) order, equal to
+    np.argsort(d2, axis=1, kind="stable")[:, :k], ranked one row block at a
+    time. np.partition finds each row's k-th smallest value, and only the
+    columns not above it, ties included, are sorted."""
+    cols = np.empty((d2.shape[0], k), dtype=np.intp)
+    for start in range(0, d2.shape[0], _ROW_BLOCK):
+        block = d2[start:start + _ROW_BLOCK]
+        # A copy, so the partitioned block is freed at once.
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1:k].copy()
+        # "Not above" rather than "at or below": NaN sorts last, so a row
+        # whose k-th value is NaN keeps every column.
+        keep = np.greater(block, kth)
+        rows, candidates = np.nonzero(np.logical_not(keep, out=keep))
+        # Stable, and the candidates ascend within each row, so ties stay in column order.
+        order = np.lexsort((block[rows, candidates], rows))
+        first = np.searchsorted(rows, np.arange(block.shape[0]))
+        cols[start:start + block.shape[0]] = candidates[order][first[:, None] + np.arange(k)]
+    return cols
+
+
 def _fit_isomap(X: np.ndarray, k: int, n_neighbors: int) -> ReducerModel:
     # Deferred: scipy.sparse adds about 0.2 s to every process that imports the package.
     from scipy.sparse import csr_matrix
@@ -300,13 +321,10 @@ def _fit_isomap(X: np.ndarray, k: int, n_neighbors: int) -> ReducerModel:
     n_neighbors = min(n_neighbors, n - 1)
 
     # Symmetrized kNN graph: keep each row's n_neighbors nearest others, in
-    # stable (distance, column) order, ranked one row block at a time.
+    # stable (distance, column) order.
     d2 = pairwise_sq_dists(X)
     np.fill_diagonal(d2, np.inf)
-    cols = np.empty((n, n_neighbors), dtype=np.intp)
-    for start in range(0, n, _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        cols[block] = np.argsort(d2[block], axis=1, kind="stable")[:, :n_neighbors]
+    cols = _nearest_columns(d2, n_neighbors)
     del d2
     rows = np.repeat(np.arange(n), n_neighbors)
     cols = cols.ravel()
@@ -334,6 +352,7 @@ def _fit_isomap(X: np.ndarray, k: int, n_neighbors: int) -> ReducerModel:
     _center_in_place(geo, geo.mean(axis=0, keepdims=True), geo.mean(axis=1, keepdims=True), geo.mean())
     B = np.multiply(geo, -0.5, out=geo)
     values, vectors = symmetric_eig(B, k)
+    del geo, B  # before the training rows are copied below
     keep = _leading_positive(values, k, "geodesic Gram matrix has no positive eigenvalues")
     return ReducerModel(
         method="ISOMAP",

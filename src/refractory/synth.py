@@ -170,4 +170,4 @@ def generate_events(config: GeneratorConfig) -> EventTable:
 
     rows = np.concatenate(patient_rows)
     patient = np.repeat(np.arange(len(ids)), [len(r) for r in patient_rows])
-    return EventTable.from_columns(ids, codes, patient, np.take(row_kind, rows), rows, np.concatenate(patient_days))
+    return EventTable._adopt(ids, codes, patient, np.take(row_kind, rows), rows, np.concatenate(patient_days))

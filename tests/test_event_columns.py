@@ -277,3 +277,68 @@ def test_read_matrix_reports_first_bad_count_or_label(tmp_path):
             r.read_matrix(path)
         assert err.value.line == line, body
         assert text in str(err.value)
+
+
+def _lexsort_reference(ids, codes, patient, kind, code, day):
+    """The table's columns as built before the in-order check: ranked by
+    name, then always lexsorted by (patient, day, kind, code)."""
+    ids_sorted, codes_sorted = sorted(ids), sorted(codes)
+    id_rank = {name: i for i, name in enumerate(ids_sorted)}
+    code_rank = {name: i for i, name in enumerate(codes_sorted)}
+    p = np.array([id_rank[ids[i]] for i in patient], dtype=np.int64)
+    c = np.array([code_rank[codes[i]] for i in code], dtype=np.int64)
+    k, d = np.asarray(kind, dtype=np.int64), np.asarray(day, dtype=np.int64)
+    order = np.lexsort((c, k, d, p))
+    return tuple(ids_sorted), tuple(codes_sorted), p[order], k[order], c[order], d[order]
+
+
+def _generated_columns():
+    """Writeable columns of a generated table, in canonical row order, over
+    dictionaries listed in reverse name order."""
+    table = r.generate_events(r.GeneratorConfig(n_case=30, n_control=30, seed=0))
+    ids, codes = table.ids[::-1], table.codes[::-1]
+    patient = len(ids) - 1 - np.array(table.patient)
+    code = len(codes) - 1 - np.array(table.code)
+    return ids, codes, patient, np.array(table.kind), code, np.array(table.day)
+
+
+def _assert_equals_lexsort(columns):
+    table = r.EventTable.from_columns(*columns)
+    ids, codes, *expected = _lexsort_reference(*columns)
+    assert (table.ids, table.codes) == (ids, codes)
+    for got, want in zip((table.patient, table.kind, table.code, table.day), expected):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_in_order_shuffled_and_duplicated_columns_match_the_lexsort():
+    ids, codes, *rows = _generated_columns()
+    n = len(rows[0])
+    _assert_equals_lexsort((ids, codes, *rows))
+    shuffled = np.random.default_rng(0).permutation(n)
+    _assert_equals_lexsort((ids, codes, *(column[shuffled] for column in rows)))
+    twice = np.repeat(np.arange(n), 2)  # duplicate records, still in order
+    _assert_equals_lexsort((ids, codes, *(column[twice] for column in rows)))
+    _assert_equals_lexsort((ids, codes, *(column[shuffled[twice]] for column in rows)))
+
+
+def test_one_out_of_order_row_is_still_sorted():
+    ids, codes, *rows = _generated_columns()
+    n = len(rows[0])
+    distinct = np.flatnonzero(np.any([column[:-1] != column[1:] for column in rows], axis=0))
+    # Swapping two adjacent distinct rows puts exactly one row out of order.
+    for i in (distinct[0], distinct[len(distinct) // 2], distinct[-1]):
+        swap = np.arange(n)
+        swap[[i, i + 1]] = swap[[i + 1, i]]
+        columns = (ids, codes, *(column[swap] for column in rows))
+        _assert_equals_lexsort(columns)
+        assert r.EventTable.from_columns(*columns) == r.EventTable.from_columns(ids, codes, *rows)
+
+
+def test_in_order_columns_are_not_shared_with_the_caller():
+    ids, codes, patient, kind, code, day = _generated_columns()
+    table = r.EventTable.from_columns(ids, codes, patient, kind, code, day)
+    before = table.columns()
+    for column in (patient, kind, code, day):
+        assert column.flags.writeable
+        column[:] = 0
+    assert table.columns() == before

@@ -344,3 +344,55 @@ def test_spectral_affinity_bytes_equal_the_out_of_place_form(monkeypatch):
     inv_sqrt = 1.0 / np.sqrt(np.maximum(W.sum(axis=1), 1e-300))
     expected = W * inv_sqrt[:, None] * inv_sqrt[None, :]
     assert len(seen) == 1 and seen[0].tobytes() == expected.tobytes()
+
+
+def _whole_matrix_check(A):
+    """The symmetry check before block pairs: np.allclose over the whole matrix."""
+    return np.allclose(A, A.T, rtol=0.0, atol=1e-8 * max(1.0, float(np.abs(A).max(initial=0.0))))
+
+
+def _block_check(A):
+    """linalg._is_symmetric, checked against the whole-matrix form."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy warns on atol = inf
+        got, expected = linalg._is_symmetric(A), _whole_matrix_check(A)
+    assert got == expected
+    return got
+
+
+@pytest.mark.parametrize("step", [0.5, 0.999, 1.001, 2.0])
+def test_symmetry_check_reads_an_asymmetry_only_in_a_lower_block(step):
+    A = _symmetric_600(1)
+    tol = 1e-8 * max(1.0, float(np.abs(A).max()))
+    # Row block 2, column block 0: strictly below the diagonal blocks.
+    A[550, 40] += tol * step
+    assert _block_check(A) == (step < 1.0)
+
+
+@pytest.mark.parametrize(
+    "upper, lower",
+    [(np.inf, np.inf), (-np.inf, -np.inf), (np.inf, -np.inf), (np.inf, 1.0), (1.0, -np.inf), (np.nan, np.nan)],
+)
+@pytest.mark.parametrize("where", [(3, 590), (590, 3), (300, 300)])
+def test_symmetry_check_on_infinities_agrees_with_the_whole_matrix(upper, lower, where):
+    A = _symmetric_600(2)
+    i, j = where
+    A[i, j], A[j, i] = upper, lower
+    symmetric = _block_check(A)
+    if i != j:
+        assert symmetric == (upper == lower)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, linalg._ROW_BLOCK - 1])
+def test_symmetry_check_below_one_block_agrees_with_the_whole_matrix(n):
+    A = _random_symmetric(np.random.default_rng(n), n)
+    assert _block_check(A)
+    if n > 1:
+        tol = 1e-8 * max(1.0, float(np.abs(A).max()))
+        for step in (0.5, 2.0):
+            B = A.copy()
+            B[n - 1, 0] += tol * step
+            assert _block_check(B) == (step < 1.0)
+        B = A.copy()
+        B[0, n - 1] = np.inf
+        assert not _block_check(B)

@@ -398,3 +398,54 @@ def test_isomap_repeated_non_integer_row_has_nothing_to_embed():
     for k in (2, 20):
         with pytest.raises(ValueError, match="no positive eigenvalues"):
             r.fit_reducer("ISOMAP", X, k)
+
+
+def _stable_nearest(d2, k):
+    """The ranking before partitioning: a full stable argsort of every row."""
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def _ranked(X):
+    from refractory.linalg import pairwise_sq_dists
+
+    d2 = pairwise_sq_dists(X)
+    np.fill_diagonal(d2, np.inf)
+    return d2
+
+
+def _neighbour_cases():
+    counts = _counts(600, 30, 5)  # 600 rows: the last row block is partial
+    duplicated = _counts(300, 12, 6)
+    duplicated[1::3] = duplicated[::3][: len(duplicated[1::3])]  # zero distances
+    with_inf = _ranked(_counts(300, 12, 7))
+    with_inf[np.random.default_rng(7).random(with_inf.shape) < 0.2] = np.inf
+    return {"counts": _ranked(counts), "duplicated": _ranked(duplicated), "inf": with_inf}
+
+
+@pytest.mark.parametrize("case", ["counts", "duplicated", "inf"])
+@pytest.mark.parametrize("k", [1, 10, "n - 1"])
+def test_partition_ranked_neighbours_equal_the_stable_argsort(case, k):
+    from refractory.reduce import _nearest_columns
+
+    d2 = _neighbour_cases()[case]
+    k = d2.shape[0] - 1 if k == "n - 1" else k
+    expected = _stable_nearest(d2, k)
+    if case == "counts" and k == 10:
+        ordered = np.sort(d2, axis=1)
+        assert (ordered[:, k - 1] == ordered[:, k]).any()  # a tie at the k-th distance
+    if case == "duplicated":
+        assert (np.take_along_axis(d2, expected, axis=1)[:, 0] == 0.0).any()
+    got = _nearest_columns(d2, k)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_partition_ranked_neighbours_on_random_ties():
+    from refractory.reduce import _nearest_columns
+
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        n = int(rng.integers(2, 700))
+        d2 = rng.integers(0, 4, size=(n, n)).astype(float)
+        np.fill_diagonal(d2, np.inf)
+        k = int(rng.integers(1, n))
+        assert np.array_equal(_nearest_columns(d2, k), _stable_nearest(d2, k))

@@ -1,8 +1,11 @@
-"""tools/artifact_diff.py sizes the columns that moved in a differing CSV;
-tools/fit_memory.py measures each n x n fit in a fresh child."""
+"""tools/artifact_diff.py sizes the columns that moved in a differing CSV and
+re-runs the events stages on shuffled rows; tools/fit_memory.py measures each
+n x n fit in a fresh child."""
 
 import importlib.util
 from pathlib import Path
+
+from refractory import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("artifact_diff", ROOT / "tools" / "artifact_diff.py")
@@ -49,6 +52,30 @@ def test_differing_files_lists_column_moves_under_the_file(tmp_path):
         ("only in parent: gone.txt", []),
         ("differs: roc.csv", ["    threshold: max |change| 0.25"]),
     ]
+
+
+def test_shuffled_events_stages_write_the_in_order_bytes(tmp_path):
+    root, work = tmp_path, tmp_path / "work"
+    (root / "stages.cfg").write_text("n_case = 15\nn_control = 15\n")
+    in_order = [
+        argv
+        for argv in artifact_diff.commands(root, work)
+        if argv[0] in ("synth", *artifact_diff.SHUFFLED_STAGES) and str(work / "stages") in argv
+    ]
+    assert [argv[0] for argv in in_order] == ["synth", "cohort", "featurize"]
+    for argv in in_order:
+        assert cli.main(argv) == 0
+    events, shuffled = work / "stages" / "events.csv", work / "shuffled" / "events.csv"
+    artifact_diff.shuffle_rows(events, shuffled, artifact_diff.SHUFFLE_SEED)
+    header, *rows = events.read_text().splitlines()
+    moved = shuffled.read_text().splitlines()
+    assert moved[0] == header and moved[1:] != rows and sorted(moved[1:]) == sorted(rows)
+    for argv in artifact_diff.shuffled_commands(root, work):
+        assert cli.main(argv) == 0
+    assert sorted(path.name for path in (work / "shuffled").iterdir()) == ["cohort.csv", "events.csv", "features.csv"]
+    assert artifact_diff.order_sensitive_files(work) == []
+    (work / "shuffled" / "features.csv").write_text("changed\n")
+    assert artifact_diff.order_sensitive_files(work) == [Path("features.csv")]
 
 
 def test_fit_memory_prints_one_line_per_fit(capsys):

@@ -13,14 +13,19 @@ echoes the workdir. The commands are:
   feature importances) is compared as well as GBDT's;
 - ``train --sweep`` with ``gamma_grid = 0.01`` in the seed-0 directory;
 - ``synth``, ``cohort``, ``featurize``, ``reduce`` and ``cluster-sweep`` at
-  ``n_case = n_control = 1000``, seed 0.
+  ``n_case = n_control = 1000``, seed 0;
+- ``cohort`` and ``featurize`` again, in their own work directory, on a copy
+  of that ``events.csv`` whose data rows are shuffled with a fixed seed, so
+  events parsed in order and out of order are both covered.
 
 Every file the two trees write is compared byte for byte. Each file that
-differs, or exists on one side only, is listed. Under a differing CSV with
-the same header and row count on both sides, each column that moved is
-listed too: with its largest absolute change when every differing cell is a
-finite number on both sides, and with its count of differing cells when
-not. The exit status is 1 if any
+differs, or exists on one side only, is listed. So is each file of a tree's
+shuffled-rows run that differs from the same file of its in-order run,
+since row order in the events file must not change a result. Under a
+differing CSV with the same header and row count on both sides, each column
+that moved is listed too: with its largest absolute change when every
+differing cell is a finite number on both sides, and with its count of
+differing cells when not. The exit status is 1 if any
 file is listed or any command fails, and 0 otherwise. The outputs are kept
 for inspection unless both trees wrote the same bytes.
 """
@@ -30,6 +35,7 @@ from __future__ import annotations
 import filecmp
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -41,6 +47,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SWEEP_CONFIG = "gamma_grid = 0.01\n"
 STAGES_CONFIG = "n_case = 1000\nn_control = 1000\n"
 STAGES = ("cohort", "featurize", "reduce", "cluster-sweep")
+SHUFFLED_STAGES = ("cohort", "featurize")  # the stages that parse events.csv
+SHUFFLE_SEED = 0
 EXACT_TREES = ("TREE", "ADABOOST")  # the classifiers grown by tree.fit_tree
 
 
@@ -61,12 +69,26 @@ def commands(root: Path, work: Path) -> list[list[str]]:
     ]
 
 
+def shuffled_commands(root: Path, work: Path) -> list[list[str]]:
+    """The stages that parse events.csv, on the shuffled copy in work/shuffled."""
+    args = ["--config", str(root / "stages.cfg"), "--seed", "0", "--workdir", str(work / "shuffled")]
+    return [[stage, *args] for stage in SHUFFLED_STAGES]
+
+
+def shuffle_rows(source: Path, dest: Path, seed: int) -> None:
+    """Copy a CSV to `dest` with its header first and its data rows shuffled."""
+    header, *rows = source.read_text().splitlines()
+    random.Random(seed).shuffle(rows)
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    dest.write_text("\n".join([header, *rows]) + "\n")
+
+
 def run_tree(tree: Path, root: Path, work: Path) -> int:
     """Run every command from one tree into `work`; return the number that failed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **{var: "1" for var in THREAD_VARS})
     work.mkdir()
-    failed = 0
-    for argv in commands(root, work):
+
+    def run(argv: list[str]) -> bool:
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "refractory.cli", *argv], env=env, cwd=root, capture_output=True, text=True
@@ -75,9 +97,26 @@ def run_tree(tree: Path, root: Path, work: Path) -> int:
         shown = " ".join(argv).replace(f"{root}{os.sep}", "")
         print(f"  {shown}: {status}, {time.perf_counter() - start:.1f} s", flush=True)
         if proc.returncode != 0:
-            failed += 1
             print(proc.stderr.rstrip(), file=sys.stderr)
-    return failed
+        return proc.returncode != 0
+
+    failed = sum(run(argv) for argv in commands(root, work))
+    events = work / "stages" / "events.csv"
+    if events.exists():  # if synth failed, the shuffled stages fail on the missing file
+        shuffle_rows(events, work / "shuffled" / "events.csv", SHUFFLE_SEED)
+    return failed + sum(run(argv) for argv in shuffled_commands(root, work))
+
+
+def order_sensitive_files(work: Path) -> list[Path]:
+    """Files of the shuffled-rows run, other than its events.csv, that differ
+    from (or are missing in) the in-order run's work directory."""
+    shuffled, in_order = work / "shuffled", work / "stages"
+    return [
+        rel
+        for rel in sorted(relative_files(shuffled))
+        if rel != Path("events.csv")
+        and not ((in_order / rel).is_file() and filecmp.cmp(shuffled / rel, in_order / rel, shallow=False))
+    ]
 
 
 def relative_files(top: Path) -> set[Path]:
@@ -143,11 +182,13 @@ def main(argv: list[str]) -> int:
         (root / f"{name}.cfg").write_text(f"classifier = {name}\nestimators = {name}\n")
     work = root / "work"
     failed = 0
+    reordered = []
     for side, tree in trees.items():
         print(f"{side}: {tree}", flush=True)
         failed += run_tree(tree, root, work)
+        reordered += [(f"{side}: shuffled rows change {rel}", []) for rel in order_sensitive_files(work)]
         work.rename(root / side)
-    listed = differing_files(root / "parent", root / "change")
+    listed = differing_files(root / "parent", root / "change") + reordered
     n_files = len(relative_files(root / "parent") | relative_files(root / "change"))
     for line, moves in listed:
         print("\n".join([line, *moves]))
