@@ -284,7 +284,8 @@ def cmd_featurize(cfg: PipelineConfig) -> None:
 def cmd_reduce(cfg: PipelineConfig) -> None:
     path = _require(cfg, FEATURES_FILE, "featurize")
     matrix = read_matrix(path)
-    values = matrix.values.astype(float)
+    row_ids, values = matrix.row_ids, matrix.values.astype(float)
+    del matrix  # the int64 counts; the fit needs only the float copy
     if cfg.reduce_method != NONE_REDUCER:
         values = reduce_mod.fit_reducer(
             cfg.reduce_method,
@@ -294,7 +295,7 @@ def cmd_reduce(cfg: PipelineConfig) -> None:
             n_neighbors=cfg.n_neighbors,
             seed=cfg.seed,
         ).train_embedding
-    embedding = reduce_mod.Embedding(values, cfg.reduce_method, list(matrix.row_ids))
+    embedding = reduce_mod.Embedding(values, cfg.reduce_method, row_ids)
     out = _workpath(cfg, EMBEDDING_FILE)
     reduce_mod.write_embedding(embedding, out)
     n, k = embedding.values.shape
@@ -307,8 +308,10 @@ def cmd_cluster_sweep(cfg: PipelineConfig) -> None:
     if matrix.labels is None:
         raise ValueError("features file has no label column; rerun the featurize subcommand")
     y = np.asarray([1 if label == cohort_mod.CASE else 0 for label in matrix.labels])
+    X = matrix.values.astype(float)
+    del matrix  # the int64 counts; the sweep needs only the float copy
     cells = cluster_mod.clustering_sweep(
-        matrix.values.astype(float),
+        X,
         y,
         k=cfg.n_components,
         n_clusters=cfg.n_clusters,

@@ -212,6 +212,28 @@ def _spectral(X: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
 # Ward agglomeration
 
 
+def _condensed_distances(X: np.ndarray) -> np.ndarray:
+    """The Euclidean distances between the rows of X in scipy's condensed
+    order, the upper triangle row by row, bit-equal to
+    squareform(sqrt(pairwise_sq_dists(X))).
+
+    The triangle is packed into the front of the square buffer, which then
+    shrinks in place, so one n x n array is the peak.
+    """
+    n = X.shape[0]
+    dist = pairwise_sq_dists(X)
+    dist.shape = (n * n,)
+    end = 0
+    for i in range(n - 1):
+        # Row i's target ends before row i + 1's source, so no row is
+        # overwritten before it moves; numpy copies through a buffer where
+        # a row's target overlaps its own source.
+        dist[end:end + n - 1 - i] = dist[i * n + i + 1:(i + 1) * n]
+        end += n - 1 - i
+    dist.resize(end)  # refuses if any view of the buffer is alive
+    return np.sqrt(dist, out=dist)
+
+
 def _agglomerative(X: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
     """Ward linkage by scipy's nearest-neighbour chain, cut at n_clusters.
 
@@ -221,17 +243,12 @@ def _agglomerative(X: np.ndarray, config: ClusterConfig) -> ClusterAssignment:
     """
     # Deferred: scipy.cluster adds import time and memory to every process.
     from scipy.cluster.hierarchy import linkage
-    from scipy.spatial.distance import squareform
 
     n = X.shape[0]
     k = config.n_clusters
     if n == k:  # nothing merges, and linkage needs two rows
         return ClusterAssignment(np.arange(n), 0.0, [])
-    dist = pairwise_sq_dists(X)
-    np.sqrt(dist, out=dist)
-    condensed = squareform(dist, checks=False)
-    del dist  # linkage copies the condensed form; the square one need not stay live
-    merges = linkage(condensed, method="ward")[: n - k]
+    merges = linkage(_condensed_distances(X), method="ward")[: n - k]
     root = np.arange(2 * n - k)
     # Walk the merges backwards so every node takes its final cluster's id.
     for node, (a, b) in reversed(list(enumerate(merges[:, :2].astype(np.int64).tolist(), n))):

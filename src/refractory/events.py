@@ -32,6 +32,10 @@ EVENTS_HEADER = "patient_id,event_kind,code,day"
 # A table stores days as int64.
 MAX_DAY = int(np.iinfo(np.int64).max)
 
+# Body rows read_events splits at a time; the cell strings of one block of
+# rows are alive at once, not those of the whole file.
+_PARSE_BLOCK = 4_096
+
 
 def _is_name(value: str) -> bool:
     return bool(value) and "," not in value and "\n" not in value
@@ -230,19 +234,32 @@ def _row_error(pid: str, kind: str, code: str, day_field: str) -> str:
     raise AssertionError("row passed the record checks")
 
 
+def _encode_block(position: dict[str, int], values: list[str]) -> np.ndarray:
+    """Each value's index in `position`, which first takes the values it has
+    not seen, in order of first appearance."""
+    fresh = [name for name in dict.fromkeys(values) if name not in position]
+    position.update(zip(fresh, range(len(position), len(position) + len(fresh))))
+    return np.fromiter(map(position.__getitem__, values), dtype=np.int64, count=len(values))
+
+
 def read_events(path: str | Path) -> EventTable:
     """Read an event CSV. Raises ParseError with the line of the first bad row.
 
-    The body is split once and each column dictionary-encoded; the checks
-    run on each column's distinct values only.
+    The body is split _PARSE_BLOCK rows at a time, so one block's cells are
+    alive at once. Each column is dictionary-encoded across the blocks, in
+    order of first appearance in the file, and the checks run on each
+    column's distinct values only.
     """
     _, lines = read_table(path, EVENTS_HEADER)
-    body = ",".join(lines)
-    del lines  # the row strings are dropped before the cells are made
-    cells = body.split(",") if body else []
-    del body
-    columns = [encode(cells[i::4]) for i in range(4)]
-    del cells
+    positions: list[dict[str, int]] = [{}, {}, {}, {}]
+    indices = [np.empty(len(lines), dtype=np.int64) for _ in range(4)]
+    for start in range(0, len(lines), _PARSE_BLOCK):
+        cells = ",".join(lines[start:start + _PARSE_BLOCK]).split(",")
+        stop = start + len(cells) // 4
+        for i, (position, index) in enumerate(zip(positions, indices)):
+            index[start:stop] = _encode_block(position, cells[i::4])
+    del lines
+    columns = [(list(position), index) for position, index in zip(positions, indices)]
     checks = (_is_name, _KIND_INDEX.__contains__, _is_name, _is_day)
     bad = [first_invalid(names, index, valid) for (names, index), valid in zip(columns, checks)]
     first = min((row for row in bad if row is not None), default=None)

@@ -310,18 +310,14 @@ def _nearest_columns(d2: np.ndarray, k: int) -> np.ndarray:
     return cols
 
 
-def _fit_isomap(X: np.ndarray, k: int, n_neighbors: int) -> ReducerModel:
+def _knn_graph(X: np.ndarray, n_neighbors: int):
+    """The symmetrized kNN graph, as a CSR matrix: each row's n_neighbors
+    nearest others, in stable (distance, column) order, and the edges that
+    point back to it."""
     # Deferred: scipy.sparse adds about 0.2 s to every process that imports the package.
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components, shortest_path
 
-    if n_neighbors < 1:
-        raise ValueError("n_neighbors must be positive")
     n = X.shape[0]
-    n_neighbors = min(n_neighbors, n - 1)
-
-    # Symmetrized kNN graph: keep each row's n_neighbors nearest others, in
-    # stable (distance, column) order.
     d2 = pairwise_sq_dists(X)
     np.fill_diagonal(d2, np.inf)
     cols = _nearest_columns(d2, n_neighbors)
@@ -339,13 +335,25 @@ def _fit_isomap(X: np.ndarray, k: int, n_neighbors: int) -> ReducerModel:
     # sparse graph; scipy would otherwise silently drop them.
     weights = np.maximum(weights, 1e-300)
     graph = csr_matrix((weights, (rows, cols)), shape=(n, n))
-    graph = graph.maximum(graph.T)
+    return graph.maximum(graph.T)
+
+
+def _fit_isomap(X: np.ndarray, k: int, n_neighbors: int) -> ReducerModel:
+    from scipy.sparse.csgraph import connected_components, shortest_path  # deferred as in _knn_graph
+
+    if n_neighbors < 1:
+        raise ValueError("n_neighbors must be positive")
+    n_neighbors = min(n_neighbors, X.shape[0] - 1)
+    graph = _knn_graph(X, n_neighbors)
 
     n_comp, _ = connected_components(graph, directed=False)
     if n_comp > 1:
         raise ConnectivityError(n_comp)
 
-    geo = shortest_path(graph, method="D", directed=False)
+    # The graph is symmetric, so Dijkstra over its directed edges takes the
+    # minimum over the same edge set as the undirected search, without
+    # scipy forming the transpose.
+    geo = shortest_path(graph, method="D", directed=True)
 
     # Classical MDS on the squared geodesics, B = -0.5 * center(geo**2), in place.
     np.square(geo, out=geo)

@@ -174,6 +174,18 @@ def test_agglomerative_without_merges():
     np.testing.assert_array_equal(one.labels, [0])
 
 
+@pytest.mark.parametrize("n", [2, 3, 257, 600])
+def test_condensed_distances_are_the_square_form_upper_triangle(n):
+    from scipy.spatial.distance import squareform
+
+    # Poisson counts repeat rows, so some distances are exactly 0.
+    X = np.random.default_rng(n).poisson(0.3, size=(n, 40)).astype(float)
+    condensed = cluster_mod._condensed_distances(X)
+    expected = np.sqrt(squareform(pairwise_sq_dists(X), checks=False))
+    assert condensed.shape == (n * (n - 1) // 2,)
+    assert condensed.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("method", CLUSTER_METHODS)
 def test_row_permutation_equivalent_partition(method):
     X, _ = _three_blobs(n_per=10, seed=10)

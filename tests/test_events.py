@@ -1,3 +1,7 @@
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -135,3 +139,96 @@ def test_round_trip_property(tmp_path_factory, rows):
     again = r.read_events(path)
     assert again == table
     assert again.patient_ids() == table.patient_ids()
+
+
+# ---------------------------------------------------------------------------
+# read_events parses the body a block of rows at a time.
+
+_ONE_BLOCK = 10**9
+_HAND_WRITTEN = [
+    "p2,DRUG,R1,5",
+    "p1,DIAGNOSIS,D042,10",
+    "p2,DRUG,R1,5",
+    "p10,AED_FAILURE,AED,0",
+    "p1,PROCEDURE,X 1,10",
+    "p3,DIAGNOSIS,D042,7",
+    "p2,DIAGNOSIS,D7,3",
+]
+
+
+def _write_body(path, body):
+    path.write_bytes(("\n".join([r.events.EVENTS_HEADER, *body]) + "\n").encode("utf-8"))
+    return path
+
+
+def _generated_body():
+    table = r.generate_events(r.GeneratorConfig(n_case=6, n_control=6, seed=3))
+    return list(map(",".join, zip(*table.columns()[:3], map(str, table.day.tolist()))))
+
+
+def _read_in_blocks(monkeypatch, path, block):
+    monkeypatch.setattr(r.events, "_PARSE_BLOCK", block)
+    return r.read_events(path)
+
+
+def _same_table(a, b):
+    assert (a.ids, a.codes) == (b.ids, b.codes)
+    for name in ("patient", "kind", "code", "day"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("source", ["generated", "shuffled", "hand-written"])
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_small_blocks_read_the_one_block_table(tmp_path, monkeypatch, source, block):
+    body = _HAND_WRITTEN if source == "hand-written" else _generated_body()
+    if source == "shuffled":
+        random.Random(0).shuffle(body)
+    path = _write_body(tmp_path / "e.csv", body)
+    whole = _read_in_blocks(monkeypatch, path, _ONE_BLOCK)
+    _same_table(_read_in_blocks(monkeypatch, path, block), whole)
+    assert len(whole) == len(body)
+
+
+@pytest.mark.parametrize("bad", ["p9,VISIT,D1,4", "p9,DRUG,R1,x", "p9,DRUG,,4", "p,9,DRUG,R1"])
+def test_bad_row_in_the_third_block_reports_its_own_line(tmp_path, monkeypatch, bad):
+    body = list(_HAND_WRITTEN)
+    body.insert(5, bad)  # row 5 of blocks of 2 is the third block's second row
+    path = _write_body(tmp_path / "e.csv", body)
+    errors = []
+    for block in (2, _ONE_BLOCK):
+        with pytest.raises(ParseError) as err:
+            _read_in_blocks(monkeypatch, path, block)
+        errors.append(str(err.value))
+        assert err.value.line == 7
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("block", [2, 3, _ONE_BLOCK])
+def test_first_bad_row_wins_across_blocks_and_columns(tmp_path, monkeypatch, block):
+    # A bad day in the second block of two rows comes before a bad kind and a
+    # second bad day, which sorts first, in the third.
+    body = list(_HAND_WRITTEN)
+    body[2] = "p2,DRUG,R1,later"
+    body[4] = "p1,PROCEDURE,X 1,early"
+    body[5] = "p3,VISIT,D042,7"
+    path = _write_body(tmp_path / "e.csv", body)
+    with pytest.raises(ParseError) as err:
+        _read_in_blocks(monkeypatch, path, block)
+    assert err.value.line == 4
+    assert "later" in str(err.value)
+
+
+def test_read_events_holds_a_bounded_multiple_of_the_file(tmp_path):
+    # About 40,000 rows, ten blocks. Splitting the whole body at once peaked
+    # at 10.3 times the file's size here.
+    path = tmp_path / "e.csv"
+    r.write_events(r.generate_events(r.GeneratorConfig(n_case=108, n_control=108, seed=1)), path)
+    tracemalloc.start()
+    try:
+        table = r.read_events(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) > 40_000
+    ratio = peak / path.stat().st_size
+    assert ratio <= 8.0, f"read_events peaked at {ratio:.2f} times the file's size"

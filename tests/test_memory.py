@@ -48,3 +48,19 @@ def test_fit_peaks_at_a_bounded_number_of_n_by_n_arrays(counts, kpca_model, name
         tracemalloc.stop()
     n_by_n = peak / (8.0 * _N * _N)
     assert n_by_n <= _BOUND, f"{name} peaked at {n_by_n:.2f} n x n arrays"
+
+
+def test_agglomerative_peaks_at_its_condensed_distances_and_linkage_copy(counts):
+    # The condensed distances are packed into the square buffer, which then
+    # shrinks, and linkage copies them: about 1 n x n. Holding the square and
+    # condensed forms together peaked at 1.50.
+    fit = FITS["AGGLOMERATIVE"]
+    fit(counts[:60], None)
+    tracemalloc.start()
+    try:
+        fit(counts, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_by_n = peak / (8.0 * _N * _N)
+    assert n_by_n <= 1.25, f"AGGLOMERATIVE peaked at {n_by_n:.2f} n x n arrays"

@@ -449,3 +449,20 @@ def test_partition_ranked_neighbours_on_random_ties():
         np.fill_diagonal(d2, np.inf)
         k = int(rng.integers(1, n))
         assert np.array_equal(_nearest_columns(d2, k), _stable_nearest(d2, k))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_isomap_directed_geodesics_equal_the_undirected_ones(seed):
+    from scipy.sparse.csgraph import shortest_path
+
+    from refractory.reduce import _knn_graph
+
+    # Count rows, a fifth of them repeated, so some edges have the 1e-300
+    # floor's length and many lengths tie.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 601))
+    X = rng.poisson(0.5, size=(n, int(rng.integers(3, 40)))).astype(float)
+    X[rng.choice(n, n // 5, replace=False)] = X[rng.choice(n, n // 5)]
+    graph = _knn_graph(X, int(rng.integers(1, 16)))
+    directed = shortest_path(graph, method="D", directed=True)
+    assert directed.tobytes() == shortest_path(graph, method="D", directed=False).tobytes()

@@ -1,6 +1,6 @@
 """tools/artifact_diff.py sizes the columns that moved in a differing CSV and
 re-runs the events stages on shuffled rows; tools/fit_memory.py measures each
-n x n fit in a fresh child."""
+n x n fit, and the event reader, in a fresh child."""
 
 import importlib.util
 from pathlib import Path
@@ -85,6 +85,14 @@ def test_fit_memory_prints_one_line_per_fit(capsys):
     for line in lines[1:]:
         wall, base, peak = map(float, line.split()[2:])
         assert wall > 0 and 0 < base <= peak
+
+
+def test_fit_memory_reads_events_written_by_another_child(capsys):
+    assert fit_memory.main(["--fits", "READ_EVENTS", "20"]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line.split()[:2] == ["READ_EVENTS", "20"]
+    wall, base, peak = map(float, line.split()[2:])  # 20 patients read in under 5 ms
+    assert wall >= 0 and 0 < base <= peak
 
 
 def test_fit_memory_cap_turns_an_oversized_fit_into_memory_error(capsys):
