@@ -128,12 +128,17 @@ def fit_classifier(spec: ClassifierSpec, X, y) -> TrainedClassifier:
     return _fit_svm_rbf(spec, X, y)
 
 
-def predict_proba(model: TrainedClassifier, X) -> np.ndarray:
+def _check_input(model: TrainedClassifier, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected (n, {model.n_features}) input, got {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError("X contains non-finite values")
+    return X
+
+
+def predict_proba(model: TrainedClassifier, X) -> np.ndarray:
+    X = _check_input(model, X)
     if model.method in (LOGREG, SVM_LINEAR):
         return sigmoid(X @ model.weights + model.intercept)  # SVM_LINEAR: uncalibrated margin
     if model.method == TREE:
@@ -157,9 +162,7 @@ def decision_score(model: TrainedClassifier, X) -> np.ndarray:
     """Additive raw score of a GBDT model (log-odds scale)."""
     if model.method != GBDT:
         raise ValueError("decision_score is defined for GBDT models")
-    X = np.asarray(X, dtype=float)
-    if not np.isfinite(X).all():
-        raise ValueError("X contains non-finite values")
+    X = _check_input(model, X)
     score = np.full(X.shape[0], model.base_score)
     for root in model.stages:
         score += model.spec.learning_rate * tree_mod.predict_tree(root, X)

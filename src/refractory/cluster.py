@@ -230,7 +230,11 @@ def _condensed_distances(X: np.ndarray) -> np.ndarray:
         # a row's target overlaps its own source.
         dist[end:end + n - 1 - i] = dist[i * n + i + 1:(i + 1) * n]
         end += n - 1 - i
-    dist.resize(end)  # refuses if any view of the buffer is alive
+    # No view of the buffer is alive here: the row copies above are
+    # temporaries. So the shrink skips numpy's reference check, which also
+    # counts the frame snapshot a sys.settrace or sys.setprofile hook holds
+    # and would refuse under a profiler or debugger.
+    dist.resize(end, refcheck=False)
     return np.sqrt(dist, out=dist)
 
 

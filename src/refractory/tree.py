@@ -187,15 +187,19 @@ def _best_split(
 
 def _near_best(score: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(nodes with a finite best, feature, boundary) of a (nodes, features,
-    boundaries) score array, or None. Near-ties (within _TINY) snap together;
-    the first hit is the lowest feature, then the lowest boundary."""
-    col_best = score.max(axis=2, initial=-np.inf)
-    best = col_best.max(axis=1, initial=-np.inf)  # -inf also when there are no features
-    nodes = np.flatnonzero(np.isfinite(best))
+    boundaries) score array, or None. NaN scores as -inf. Near-ties (within
+    _TINY) snap together; the first hit is the lowest feature, then the
+    lowest boundary."""
+    flat = score.reshape(len(score), -1)
+    best = np.fmax.reduce(flat, axis=1, initial=-np.inf)  # -inf also when there are no features
+    nodes = (best > -np.inf).nonzero()[0]
     if nodes.size == 0:
         return None
-    feature = np.argmax(col_best[nodes] >= best[nodes, None] - _TINY, axis=1)
-    at = np.argmax(score[nodes, feature] >= col_best[nodes, feature][:, None] - _TINY, axis=1)
+    # A node's first cell within _TINY of its best lies in the lowest feature
+    # whose own best is within _TINY of it.
+    feature = (flat >= (best - _TINY)[:, None]).argmax(axis=1)[nodes] // score.shape[2]
+    line = score[nodes, feature]
+    at = (line >= (np.fmax.reduce(line, axis=1) - _TINY)[:, None]).argmax(axis=1)
     return nodes, feature, at
 
 
@@ -245,8 +249,8 @@ def fit_binned_tree(
     """Grow a regression tree on r over binned features, one level at a time.
 
     codes and thresholds come from bin_features; r is the gradient and h the
-    hessian per row. Each level takes one histogram of row counts and one of
-    r over (node, feature, bin). Splitting at bin b sends the rows with
+    hessian per row. Each level takes one histogram of row counts and r over
+    (node, feature, bin). Splitting at bin b sends the rows with
     code <= b left and lowers the variance of r by
     (G_L^2/n_L + G_R^2/n_R - G^2/n) / n, clipped at 0, where G sums r. A
     node stays a leaf at max_depth, below two rows, at variance at most
@@ -265,40 +269,53 @@ def fit_binned_tree(
         raise ValueError("codes must be (d, n), with d thresholds and r, h of shape (n,)")
     if max_depth < 0:
         raise ValueError("max_depth must be non-negative")
-    # The histogram is as wide as the most bins any feature got.
+    # The histogram is as wide as the most bins any feature got. Row i's
+    # cell for feature f is slot * d * width + f * width + code; cells holds
+    # all but the slot term, and r_rep the r each cell adds, both fixed for
+    # the call.
     width = max((len(t) for t in thresholds), default=0) + 1
-    bin_offset = (np.arange(d) * width)[:, None]
+    cells = np.empty((d, n), dtype=np.intp)
+    np.add(codes, np.arange(0, d * width, width)[:, None], out=cells)
+    r_rep = np.empty((d, n))
+    r_rep[:] = r
+    at = np.empty_like(cells)  # each level's cells, in one buffer for the call
     leaf = np.empty(n)
-    # rows are the rows of this level's nodes, node their node on the level;
-    # parents holds the (node, side) each level's nodes hang from.
-    rows = np.arange(n)
+    # node holds each row's node on this level, or K, the level's discard
+    # slot, for a row whose node stayed a leaf on an earlier level. So every
+    # level sums and histograms all n rows in row order, and no level
+    # gathers its live rows. parents holds the (node, side) each level's
+    # nodes hang from.
     node = np.zeros(n, dtype=np.intp)
+    rows = np.arange(n)
     parents: list[tuple[TreeNode, str]] = []
     root = None
     for depth in range(max_depth + 1):
         K = max(len(parents), 1)
-        r_rows = r[rows]
-        count = np.bincount(node, minlength=K)
-        total = np.bincount(node, weights=r_rows, minlength=K)
-        value = total / np.maximum(np.bincount(node, weights=h[rows], minlength=K), _HESSIAN_FLOOR)
-        nodes = [
-            TreeNode(value=v, n_samples=c, weight=float(c))
-            for v, c in zip(value.tolist(), count.tolist())
-        ]
+        count = np.bincount(node, minlength=K + 1)
+        total = np.bincount(node, weights=r, minlength=K + 1)
+        value = total / np.maximum(np.bincount(node, weights=h, minlength=K + 1), _HESSIAN_FLOOR)
+        nodes = [TreeNode(v, c, float(c)) for v, c in zip(value[:K].tolist(), count[:K].tolist())]
         if root is None:
             root = nodes[0]
         for (up, side), child in zip(parents, nodes):
             setattr(up, side, child)
+        # A row's last write is the value of its leaf.
+        np.copyto(leaf, value[node], where=node < K)
         if depth == max_depth:
             break
 
-        spread = np.bincount(node, weights=(r_rows - (total / count)[node]) ** 2, minlength=K) / count
-        cand = np.flatnonzero((count >= 2) & (spread > _TINY))
+        # Every node has a row; only the discard slot may have none. A node
+        # of one row has spread 0, so the spread test also stops below two rows.
+        dev = r - (total / np.maximum(count, 1))[node]
+        dev *= dev
+        spread = np.bincount(node, weights=dev, minlength=K + 1)[:K] / count[:K]
+        cand = (spread > _TINY).nonzero()[0]
         if cand.size == 0:
             break
-        cand_of = np.full(K, cand.size)
-        cand_of[cand] = np.arange(cand.size)
-        found = _best_bins(codes, rows, cand_of[node], r_rows, cand.size, width, bin_offset)
+        slot = np.full(K + 1, cand.size)  # the discard block for a row of no candidate
+        slot[cand] = np.arange(cand.size)
+        np.add(cells, d * width * slot[node], out=at)
+        found = _best_bins(at, r_rep, count[cand].astype(float), width)
         if found is None:
             break
         split, feature, bin_, decrease = found
@@ -307,65 +324,62 @@ def fit_binned_tree(
             up = nodes[k]
             up.feature, up.threshold, up.gain = f, float(thresholds[f][b]), g * up.n_samples
 
-        # Rows of nodes that stay leaves are done; the rest go to the left
-        # (2 s) or right (2 s + 1) child of their node's split s.
-        split_of = np.full(K, -1)
-        split_of[split] = np.arange(split.size)
-        split_of = split_of[node]
-        done = split_of < 0
-        leaf[rows[done]] = value[node[done]]
-        rows, split_of = rows[~done], split_of[~done]
-        node = 2 * split_of + (codes[feature[split_of], rows] > bin_[split_of])
+        # A row of the split node s goes to its left (2 s) or right (2 s + 1)
+        # child, by the code of s's feature, found at s's offset into codes;
+        # every other row goes to the next level's discard slot.
+        to = np.full(K + 1, 2 * split.size)
+        to[split] = np.arange(0, 2 * split.size, 2)
+        offset = np.zeros(K + 1, dtype=np.intp)
+        offset[split] = feature * n
+        last = np.full(K + 1, width)  # past every code, for a node that did not split
+        last[split] = bin_
+        node = to[node] + (codes.ravel()[offset[node] + rows] > last[node])
         parents = [(nodes[k], side) for k in split.tolist() for side in ("left", "right")]
-    leaf[rows] = value[node]
     return root, leaf
 
 
 def _best_bins(
-    codes: np.ndarray,
-    rows: np.ndarray,
-    slot: np.ndarray,
-    r_rows: np.ndarray,
-    C: int,
+    at: np.ndarray,
+    r_rep: np.ndarray,
+    n_node: np.ndarray,
     width: int,
-    bin_offset: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """The best (feature, bin) of each of C candidate nodes, from two histograms.
+    """The best (feature, bin) of each candidate node, from one histogram.
 
-    slot holds each row's candidate, or C for a row of no candidate. Returns
-    (candidates that split, feature, bin, variance decrease), or None when no
-    candidate has a boundary with rows on both sides.
+    at holds the histogram cell of each (feature, row) as fit_binned_tree
+    lays them out, with the rows of no candidate in the discard block
+    C = len(n_node); r_rep holds the r each cell adds, and n_node each
+    candidate's row count. Returns (candidates that split, feature, bin,
+    variance decrease), or None when no candidate has a boundary with rows
+    on both sides.
     """
-    d = codes.shape[0]
-    live = slot < C
-    at = (slot[live] * (d * width) + bin_offset + codes[:, rows[live]]).ravel()
+    C, d = len(n_node), at.shape[0]
     size = C * d * width
-    # Histograms, summed in place into the rows and r left of each boundary;
-    # the last bin's boundary has no rows right of it and is never valid.
-    n_left = np.bincount(at, minlength=size).reshape(C, d, width)
-    g_left = np.bincount(
-        at, weights=np.repeat(r_rows[live][None, :], d, axis=0).ravel(), minlength=size
-    ).reshape(C, d, width)
-    np.cumsum(n_left, axis=2, out=n_left)
-    np.cumsum(g_left, axis=2, out=g_left)
-    n_all, g_all = n_left[:, :, -1:], g_left[:, :, -1:].copy()
-    n_right = n_all - n_left
-    g_right = g_all - g_left
-    valid = (n_left > 0) & (n_right > 0)
+    at = at.ravel()
+    # A cell is a complex pair, its row count in the real part and its sum
+    # of r in the imaginary part, so one cumsum sums both in place into the
+    # rows and r left of each boundary. The last bin's boundary has no rows
+    # right of it and is never valid.
+    left = np.empty(size, dtype=complex)
+    left.real = np.bincount(at, minlength=size + d * width)[:size]
+    left.imag = np.bincount(at, weights=r_rep.ravel(), minlength=size + d * width)[:size]
+    left = left.reshape(C, d, width)
+    left.cumsum(axis=2, out=left)
+    n_left, g_left = left.real, left.imag
+    g_all, n_all = g_left[:, :, -1:], n_node[:, None, None]
     # score = (g_left^2 / n_left + g_right^2 / n_right - g_all^2 / n_all) / n_all,
-    # clipped at 0, formed in place in g_left's buffer.
-    np.maximum(n_left, 1, out=n_left)
-    np.maximum(n_right, 1, out=n_right)
-    score = g_left
-    score *= score
-    score /= n_left
-    g_right *= g_right
-    g_right /= n_right
+    # clipped at 0. A side without rows sums to exactly 0, so a boundary
+    # with an empty side scores 0 / 0, NaN, which _near_best passes over.
+    with np.errstate(invalid="ignore"):
+        score = g_left * g_left
+        score /= n_left
+        g_right = g_all - g_left
+        g_right *= g_right
+        g_right /= n_all - n_left
     score += g_right
     score -= g_all**2 / n_all
     score /= n_all
     np.maximum(score, 0.0, out=score)
-    score[~valid] = -np.inf
 
     found = _near_best(score)
     if found is None:

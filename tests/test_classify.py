@@ -149,6 +149,18 @@ def test_decision_score_rejects_non_gbdt():
         decision_score(model, X)
 
 
+@pytest.mark.parametrize("shape", [(6, 5), (6, 1), (3,)], ids=["too-wide", "too-narrow", "one-dimensional"])
+def test_decision_score_checks_shape_like_predict_proba(shape):
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(40, 3))
+    y = (X[:, 0] + X[:, 1] > 0).astype(int)
+    model = fit_classifier(ClassifierSpec(method=GBDT, n_stages=5), X, y)
+    bad = rng.normal(size=shape)
+    for score in (predict_proba, decision_score):
+        with pytest.raises(ValueError, match=r"expected \(n, 3\) input"):
+            score(model, bad)
+
+
 def test_logreg_gradient_small_at_solution():
     X, y = _blobs(seed=5, gap=3.0)
     spec = ClassifierSpec(method=LOGREG, l2=1.0, max_iter=20000, tol=1e-8)

@@ -1,3 +1,6 @@
+import cProfile
+import sys
+
 import numpy as np
 import pytest
 
@@ -184,6 +187,39 @@ def test_condensed_distances_are_the_square_form_upper_triangle(n):
     expected = np.sqrt(squareform(pairwise_sq_dists(X), checks=False))
     assert condensed.shape == (n * (n - 1) // 2,)
     assert condensed.tobytes() == expected.tobytes()
+
+
+def _settrace_run(fit):
+    def tracer(frame, event, arg):
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        return fit()
+    finally:
+        sys.settrace(None)
+
+
+def _cprofile_run(fit):
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        return fit()
+    finally:
+        profile.disable()
+
+
+@pytest.mark.parametrize("hook", [_settrace_run, _cprofile_run], ids=["settrace", "cprofile"])
+def test_agglomerative_under_a_tracer_or_profiler_matches_untraced(hook):
+    # A tracing or profiling hook holds a reference to each frame's locals,
+    # which an in-place shrink of the distance buffer must not depend on.
+    X = np.random.default_rng(0).standard_normal((50, 3))
+    config = ClusterConfig(method=AGGLOMERATIVE, n_clusters=3)
+    untraced = fit_clusters(config, X)
+    traced = hook(lambda: fit_clusters(config, X))
+    np.testing.assert_array_equal(traced.labels, untraced.labels)
+    assert traced.trace == untraced.trace
+    assert traced.objective == untraced.objective
 
 
 @pytest.mark.parametrize("method", CLUSTER_METHODS)

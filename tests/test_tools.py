@@ -100,3 +100,16 @@ def test_fit_memory_cap_turns_an_oversized_fit_into_memory_error(capsys):
     # child's allocation fails at once, without touching that memory.
     assert fit_memory.main(["--fits", "KPCA", "--cap-mib", "1024", "20000"]) == 1
     assert capsys.readouterr().out.splitlines()[1].endswith("MemoryError")
+
+
+def test_stages_run_ends_in_gbdt_train_and_evaluate(tmp_path):
+    # GBDT is byte-compared at 2,000 patients too, on 1,714-row folds.
+    root, work = tmp_path, tmp_path / "work"
+    stages = [argv for argv in artifact_diff.commands(root, work) if str(work / "stages") in argv]
+    assert [argv[0] for argv in stages] == [
+        "synth", "cohort", "featurize", "reduce", "cluster-sweep", "train", "evaluate",
+    ]
+    (root / "stages.cfg").write_text(artifact_diff.STAGES_CONFIG)
+    cfg = cli.build_config(cli.load_config(root / "stages.cfg"))
+    assert cfg.n_case == cfg.n_control == 1000
+    assert cli._evaluated(cfg) == ("GBDT",)

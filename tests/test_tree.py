@@ -1,6 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from refractory import classify
+from refractory import tree as tree_mod
+from refractory.metrics import stratified_folds
+from refractory.reduce import RBF, KernelSpec, fit_reducer, transform
 from refractory.tree import (
     ENTROPY,
     VARIANCE,
@@ -487,6 +493,13 @@ def test_binned_max_depth_zero_is_one_leaf():
     np.testing.assert_array_equal(leaf, root.value)
 
 
+def test_binned_without_features_is_one_leaf():
+    r = np.arange(5.0)
+    root, leaf = fit_binned_tree(np.empty((0, 5), dtype=np.uint8), [], r, np.ones(5), max_depth=3)
+    assert root.is_leaf and root.value == 2.0
+    np.testing.assert_array_equal(leaf, 2.0)
+
+
 def test_binned_repeat_fits_are_identical():
     for seed in range(12):
         X, r, h, max_depth = _binned_case(seed)
@@ -587,3 +600,180 @@ def test_tied_rows_with_zero_weights_match_reference_at_320_rows(criterion):
     w = rng.random(320) * (rng.random(320) < 0.6)
     root = _assert_matches_reference(X, y, criterion, 5, w)
     assert tree_depth(root) == 5
+
+
+# ---------------------------------------------------------------------------
+# fit_binned_tree against the builder it replaced, bit for bit
+#
+# The reference below is the level builder as it stood before each level's
+# histogram became complex (count, sum) cells over all rows: it gathers each
+# level's live rows, takes two cumsums, clamps empty sides to 1 and masks
+# them to -inf. Every tree the current
+# builder grows must equal its tree in repr, and every leaf array must equal
+# its leaf array byte for byte.
+
+_REF_TINY = 1e-12
+_REF_HESSIAN_FLOOR = 1e-12
+
+
+def _ref_fit_binned_tree(codes, thresholds, r, h, *, max_depth):
+    r = np.asarray(r, dtype=float)
+    h = np.asarray(h, dtype=float)
+    d, n = codes.shape
+    width = max((len(t) for t in thresholds), default=0) + 1
+    bin_offset = (np.arange(d) * width)[:, None]
+    leaf = np.empty(n)
+    rows = np.arange(n)
+    node = np.zeros(n, dtype=np.intp)
+    parents = []
+    root = None
+    for depth in range(max_depth + 1):
+        K = max(len(parents), 1)
+        r_rows = r[rows]
+        count = np.bincount(node, minlength=K)
+        total = np.bincount(node, weights=r_rows, minlength=K)
+        value = total / np.maximum(np.bincount(node, weights=h[rows], minlength=K), _REF_HESSIAN_FLOOR)
+        nodes = [
+            TreeNode(value=v, n_samples=c, weight=float(c))
+            for v, c in zip(value.tolist(), count.tolist())
+        ]
+        if root is None:
+            root = nodes[0]
+        for (up, side), child in zip(parents, nodes):
+            setattr(up, side, child)
+        if depth == max_depth:
+            break
+        spread = np.bincount(node, weights=(r_rows - (total / count)[node]) ** 2, minlength=K) / count
+        cand = np.flatnonzero((count >= 2) & (spread > _REF_TINY))
+        if cand.size == 0:
+            break
+        cand_of = np.full(K, cand.size)
+        cand_of[cand] = np.arange(cand.size)
+        found = _ref_best_bins(codes, rows, cand_of[node], r_rows, cand.size, width, bin_offset)
+        if found is None:
+            break
+        split, feature, bin_, decrease = found
+        split = cand[split]
+        for k, f, b, g in zip(split.tolist(), feature.tolist(), bin_.tolist(), decrease.tolist()):
+            up = nodes[k]
+            up.feature, up.threshold, up.gain = f, float(thresholds[f][b]), g * up.n_samples
+        split_of = np.full(K, -1)
+        split_of[split] = np.arange(split.size)
+        split_of = split_of[node]
+        done = split_of < 0
+        leaf[rows[done]] = value[node[done]]
+        rows, split_of = rows[~done], split_of[~done]
+        node = 2 * split_of + (codes[feature[split_of], rows] > bin_[split_of])
+        parents = [(nodes[k], side) for k in split.tolist() for side in ("left", "right")]
+    leaf[rows] = value[node]
+    return root, leaf
+
+
+def _ref_best_bins(codes, rows, slot, r_rows, C, width, bin_offset):
+    d = codes.shape[0]
+    live = slot < C
+    at = (slot[live] * (d * width) + bin_offset + codes[:, rows[live]]).ravel()
+    size = C * d * width
+    n_left = np.bincount(at, minlength=size).reshape(C, d, width)
+    g_left = np.bincount(
+        at, weights=np.repeat(r_rows[live][None, :], d, axis=0).ravel(), minlength=size
+    ).reshape(C, d, width)
+    np.cumsum(n_left, axis=2, out=n_left)
+    np.cumsum(g_left, axis=2, out=g_left)
+    n_all, g_all = n_left[:, :, -1:], g_left[:, :, -1:].copy()
+    n_right = n_all - n_left
+    g_right = g_all - g_left
+    valid = (n_left > 0) & (n_right > 0)
+    np.maximum(n_left, 1, out=n_left)
+    np.maximum(n_right, 1, out=n_right)
+    score = g_left
+    score *= score
+    score /= n_left
+    g_right *= g_right
+    g_right /= n_right
+    score += g_right
+    score -= g_all**2 / n_all
+    score /= n_all
+    np.maximum(score, 0.0, out=score)
+    score[~valid] = -np.inf
+    found = _ref_near_best(score)
+    if found is None:
+        return None
+    split, feature, bin_ = found
+    return split, feature, bin_, score[split, feature, bin_]
+
+
+def _ref_near_best(score):
+    col_best = score.max(axis=2, initial=-np.inf)
+    best = col_best.max(axis=1, initial=-np.inf)
+    nodes = np.flatnonzero(np.isfinite(best))
+    if nodes.size == 0:
+        return None
+    feature = np.argmax(col_best[nodes] >= best[nodes, None] - _REF_TINY, axis=1)
+    at = np.argmax(score[nodes, feature] >= col_best[nodes, feature][:, None] - _REF_TINY, axis=1)
+    return nodes, feature, at
+
+
+def _assert_binned_matches_reference(codes, thresholds, r, h, max_depth):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fit_binned_tree(codes, thresholds, r, h, max_depth=max_depth)
+        want = _ref_fit_binned_tree(codes, thresholds, r, h, max_depth=max_depth)
+    assert repr(got[0]) == repr(want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+    return got
+
+
+def test_binned_builder_is_bit_equal_to_reference_on_random_cases():
+    for seed in range(300):
+        X, r, h, max_depth = _binned_case(seed)
+        _assert_binned_matches_reference(*bin_features(X), r, h, max_depth)
+
+
+def test_binned_builder_is_bit_equal_to_reference_on_tied_residuals():
+    # Residuals drawn from a few values, as in GBDT's first stage, where
+    # r = y - mean(y): splits that cannot lower the variance score 0 up to
+    # rounding, on either side of it, so the clip at 0 and the near-tie
+    # rule decide them.
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(3, 40)), int(rng.integers(1, 4))
+        X = rng.integers(0, 4, size=(n, d)).astype(float)
+        r = rng.choice([0.1, 0.2, 0.3, 0.7, 1 / 3], size=3)[rng.integers(0, 3, size=n)]
+        _assert_binned_matches_reference(*bin_features(X), r, rng.random(n) + 0.5, 3)
+
+
+def test_binned_builder_is_bit_equal_to_reference_at_depth_seven():
+    # r rises with the first feature, so splits fall near each node's median
+    # and all 64 nodes of depth 6 form: that level scores up to 64
+    # candidates at once, more than half of which split.
+    rng = np.random.default_rng(7)
+    X = rng.random(size=(2000, 3))
+    r = 4 * X[:, 0] + 0.3 * rng.normal(size=2000)
+    root, _ = _assert_binned_matches_reference(*bin_features(X), r, rng.random(2000), 7)
+    level = [root]
+    for _ in range(6):
+        level = [child for node in level for child in (node.left, node.right)]
+    assert len(level) == 64
+    assert sum(not node.is_leaf for node in level) > 32
+
+
+@pytest.mark.parametrize("seed", [0, 32])
+def test_gbdt_stage_trees_are_bit_equal_to_reference_on_kpca_folds(generated_counts, monkeypatch, seed):
+    # The seeds-400 traffic: KPCA(20, RBF) on 200 + 200 patients, then a
+    # default GBDT fit on each of the 7 training folds. Every stage tree is
+    # grown by both builders from the same residuals.
+    counts, y = generated_counts(200, seed)
+    emb = transform(fit_reducer("KPCA", counts, 20, kernel=KernelSpec(RBF)), counts).values
+    stages = []
+
+    def both(codes, thresholds, r, h, *, max_depth):
+        stages.append(max_depth)
+        return _assert_binned_matches_reference(codes, thresholds, r, h, max_depth)
+
+    monkeypatch.setattr(tree_mod, "fit_binned_tree", both)
+    spec = classify.ClassifierSpec(method=classify.GBDT)
+    for test_rows in stratified_folds(y, 7, seed):
+        train = np.setdiff1d(np.arange(len(y)), test_rows)
+        classify.fit_classifier(spec, emb[train], y[train])
+    assert stages == [spec.max_depth] * (7 * spec.n_stages)

@@ -13,7 +13,10 @@ echoes the workdir. The commands are:
   feature importances) is compared as well as GBDT's;
 - ``train --sweep`` with ``gamma_grid = 0.01`` in the seed-0 directory;
 - ``synth``, ``cohort``, ``featurize``, ``reduce`` and ``cluster-sweep`` at
-  ``n_case = n_control = 1000``, seed 0;
+  ``n_case = n_control = 1000``, seed 0, then ``train`` and ``evaluate``
+  there with ``estimators = GBDT``: GBDT on all 2,000 rows and on 1,714-row
+  CV folds, where every bin is populated and children are large, beside the
+  400-patient runs above;
 - ``cohort`` and ``featurize`` again, in their own work directory, on a copy
   of that ``events.csv`` whose data rows are shuffled with a fixed seed, so
   events parsed in order and out of order are both covered.
@@ -45,8 +48,8 @@ from pathlib import Path
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SWEEP_CONFIG = "gamma_grid = 0.01\n"
-STAGES_CONFIG = "n_case = 1000\nn_control = 1000\n"
-STAGES = ("cohort", "featurize", "reduce", "cluster-sweep")
+STAGES_CONFIG = "n_case = 1000\nn_control = 1000\nestimators = GBDT\n"
+STAGES = ("cohort", "featurize", "reduce", "cluster-sweep", "train", "evaluate")
 SHUFFLED_STAGES = ("cohort", "featurize")  # the stages that parse events.csv
 SHUFFLE_SEED = 0
 EXACT_TREES = ("TREE", "ADABOOST")  # the classifiers grown by tree.fit_tree
