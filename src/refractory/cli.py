@@ -49,8 +49,41 @@ AUC_TABLE_FILE = "auc_table.csv"
 CV_REPORT_FILE = "cv_report.json"
 ROC_PLOT_FILE = "roc_curves.svg"
 RUN_REPORT_FILE = "run_report.json"
+ROC_FILE = "roc_{}.csv"  # one per evaluated estimator
 
 NONE_REDUCER = "NONE"
+_LABEL_Y = {cohort_mod.CASE: 1, cohort_mod.CONTROL: 0}  # the classifiers' target for each cohort label
+
+
+@dataclass(frozen=True)
+class Stage:
+    """A pipeline subcommand, the cmd_* function that runs it from a config, and the files it writes."""
+
+    name: str
+    help: str
+    command: str
+    writes: tuple[str, ...]
+
+    def run(self, cfg: PipelineConfig, **options):
+        # Looked up per call, so a wrapper set on the module attribute (a tracer's, say) is entered.
+        return globals()[self.command](cfg, **options)
+
+
+# The stages in run-all order.
+STAGES = (
+    Stage("synth", "generate a synthetic event stream", "cmd_synth", (EVENTS_FILE,)),
+    Stage("cohort", "index, label, and subsample patients from events.csv", "cmd_cohort", (COHORT_FILE,)),
+    Stage("featurize", "build the pre-index count matrix for the cohort", "cmd_featurize", (FEATURES_FILE,)),
+    Stage("reduce", "fit the configured reducer and write the embedding", "cmd_reduce", (EMBEDDING_FILE,)),
+    Stage("cluster-sweep", "run the reduction x clustering grid against labels", "cmd_cluster_sweep", (SWEEP_FILE,)),
+    Stage("train", "fit the configured classifier on the embedding", "cmd_train", (MODEL_FILE,)),
+    Stage(
+        "evaluate",
+        "cross-validate every estimator; write ROC/AUC/CV artifacts",
+        "cmd_evaluate",
+        (ROC_FILE, AUC_TABLE_FILE, CV_REPORT_FILE, ROC_PLOT_FILE),
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -215,9 +248,10 @@ def _workpath(cfg: PipelineConfig, name: str) -> Path:
     return Path(cfg.workdir) / name
 
 
-def _require(cfg: PipelineConfig, name: str, producer: str) -> Path:
+def _require(cfg: PipelineConfig, name: str) -> Path:
     path = _workpath(cfg, name)
     if not path.exists():
+        producer = next(stage.name for stage in STAGES if name in stage.writes)
         raise DependencyError(f"{path} not found; run the {producer} subcommand first")
     return path
 
@@ -245,7 +279,8 @@ def _generator_config(cfg: PipelineConfig) -> synth.GeneratorConfig:
 # Stage commands
 
 
-def cmd_synth(cfg: PipelineConfig, out: Path) -> None:
+def cmd_synth(cfg: PipelineConfig, out: Path | None = None) -> None:
+    out = out or _workpath(cfg, EVENTS_FILE)
     table = synth.generate_events(_generator_config(cfg))
     events_mod.write_events(table, out)
     n_patients = len(table.patient_ids())
@@ -253,7 +288,7 @@ def cmd_synth(cfg: PipelineConfig, out: Path) -> None:
 
 
 def cmd_cohort(cfg: PipelineConfig) -> None:
-    path = _require(cfg, EVENTS_FILE, "synth")
+    path = _require(cfg, EVENTS_FILE)
     table = events_mod.read_events(path)
     labeled = cohort_mod.label_timelines(cohort_mod.build_timelines(table))
     sampled = cohort_mod.sample_cohort(labeled, cfg.resolved_n_per_class, cfg.seed)
@@ -263,18 +298,18 @@ def cmd_cohort(cfg: PipelineConfig) -> None:
 
 
 def cmd_featurize(cfg: PipelineConfig) -> None:
-    events_path = _require(cfg, EVENTS_FILE, "synth")
-    cohort_path = _require(cfg, COHORT_FILE, "cohort")
+    events_path = _require(cfg, EVENTS_FILE)
+    cohort_path = _require(cfg, COHORT_FILE)
     table = events_mod.read_events(events_path)
     sampled = cohort_mod.read_cohort(cohort_path)
     timelines = {t.patient_id: t for t in cohort_mod.build_timelines(table)}
-    window_events = []
+    # A cohort drawn from other events would cut each window at a stale index day.
+    labeled = set(cohort_mod.label_timelines(list(timelines.values())))
     for patient in sampled.patients:
-        timeline = timelines.get(patient.patient_id)
-        if timeline is None:
-            raise ValueError(f"no events for cohort patient {patient.patient_id!r}")
-        window_events.append(cohort_mod.pre_index_events(timeline, patient.index_day))
-    vocabulary = build_vocabulary(window_events)
+        if patient not in labeled:
+            raise ValueError(f"cohort row {patient} does not match {events_path}; rerun the cohort subcommand")
+    windows = (cohort_mod.pre_index_events(timelines[p.patient_id], p.index_day) for p in sampled.patients)
+    vocabulary = build_vocabulary(windows)
     matrix = featurize(sampled, timelines, vocabulary)
     out = _workpath(cfg, FEATURES_FILE)
     write_matrix(matrix, out)
@@ -282,7 +317,7 @@ def cmd_featurize(cfg: PipelineConfig) -> None:
 
 
 def cmd_reduce(cfg: PipelineConfig) -> None:
-    path = _require(cfg, FEATURES_FILE, "featurize")
+    path = _require(cfg, FEATURES_FILE)
     matrix = read_matrix(path)
     row_ids, values = matrix.row_ids, matrix.values.astype(float)
     del matrix  # the int64 counts; the fit needs only the float copy
@@ -303,11 +338,11 @@ def cmd_reduce(cfg: PipelineConfig) -> None:
 
 
 def cmd_cluster_sweep(cfg: PipelineConfig) -> None:
-    path = _require(cfg, FEATURES_FILE, "featurize")
+    path = _require(cfg, FEATURES_FILE)
     matrix = read_matrix(path)
     if matrix.labels is None:
         raise ValueError("features file has no label column; rerun the featurize subcommand")
-    y = np.asarray([1 if label == cohort_mod.CASE else 0 for label in matrix.labels])
+    y = np.asarray([_LABEL_Y[label] for label in matrix.labels])
     X = matrix.values.astype(float)
     del matrix  # the int64 counts; the sweep needs only the float copy
     cells = cluster_mod.clustering_sweep(
@@ -327,13 +362,13 @@ def cmd_cluster_sweep(cfg: PipelineConfig) -> None:
 
 def _load_xy(cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
     """Embedding rows joined with cohort labels, as (X, y in {0,1})."""
-    embedding_path = _require(cfg, EMBEDDING_FILE, "reduce")
-    cohort_path = _require(cfg, COHORT_FILE, "cohort")
+    embedding_path = _require(cfg, EMBEDDING_FILE)
+    cohort_path = _require(cfg, COHORT_FILE)
     embedding = reduce_mod.read_embedding(embedding_path, cfg.reduce_method)
     sampled = cohort_mod.read_cohort(cohort_path)
-    label_of = {p.patient_id: p.label for p in sampled.patients}
+    y_of = {p.patient_id: _LABEL_Y[p.label] for p in sampled.patients}
     try:
-        y = np.asarray([1 if label_of[pid] == cohort_mod.CASE else 0 for pid in embedding.row_ids])
+        y = np.asarray([y_of[pid] for pid in embedding.row_ids])
     except KeyError as exc:
         raise ValueError(f"embedding row {exc} is not in the cohort") from None
     return embedding.values, y
@@ -358,7 +393,7 @@ def cmd_train(cfg: PipelineConfig, sweep: bool = False) -> None:
     _cv_sweep(cfg, y, "depth", DEPTH_SWEEP_FILE, cfg.depth_grid, lambda d: (X, replace(gbdt, max_depth=d)))
     # The kernel-width sweep refits the reducer per value, so it is opt-in.
     if cfg.gamma_grid:
-        matrix = read_matrix(_require(cfg, FEATURES_FILE, "featurize"))
+        matrix = read_matrix(_require(cfg, FEATURES_FILE))
 
         def kpca(gamma: float) -> tuple[np.ndarray, classify.ClassifierSpec]:
             kernel = reduce_mod.KernelSpec(reduce_mod.RBF, gamma)
@@ -393,7 +428,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> dict:
         report, oof = metrics.cross_val_proba(X, y, fit_predict, k=cfg.k_folds, seed=cfg.seed)
         curve = metrics.roc_curve(oof, y)
         area = metrics.auc(curve)
-        metrics.write_roc(curve, _workpath(cfg, f"roc_{method}.csv"))
+        metrics.write_roc(curve, _workpath(cfg, ROC_FILE.format(method)))
         curves.append((method, curve))
         table_rows.append(format_row((method, area, report.mean)))
         if method == cfg.classifier:
@@ -499,32 +534,19 @@ def cmd_run_all(cfg: PipelineConfig) -> RunReport:
     if cfg.resolved_n_per_class > min(cfg.n_case, cfg.n_control):
         raise ValueError(f"n_per_class={cfg.n_per_class} exceeds n_case={cfg.n_case} or n_control={cfg.n_control}")
     report = RunReport(config=asdict(cfg))
-    stages = [
-        ("synth", lambda: cmd_synth(cfg, _workpath(cfg, EVENTS_FILE)), [EVENTS_FILE]),
-        ("cohort", lambda: cmd_cohort(cfg), [COHORT_FILE]),
-        ("featurize", lambda: cmd_featurize(cfg), [FEATURES_FILE]),
-        ("reduce", lambda: cmd_reduce(cfg), [EMBEDDING_FILE]),
-        ("cluster-sweep", lambda: cmd_cluster_sweep(cfg), [SWEEP_FILE]),
-        ("train", lambda: cmd_train(cfg), [MODEL_FILE]),
-        (
-            "evaluate",
-            lambda: cmd_evaluate(cfg),
-            [f"roc_{m}.csv" for m in _evaluated(cfg)]
-            + [AUC_TABLE_FILE, CV_REPORT_FILE, ROC_PLOT_FILE],
-        ),
-    ]
-    for name, run, artifacts in stages:
+    for stage in STAGES:
         start = time.perf_counter()
         try:
-            result = run()
+            result = stage.run(cfg)
         except Exception as exc:
-            raise RuntimeError(f"stage {name} failed: {exc}") from exc
-        report.timings[name] = time.perf_counter() - start
-        report.stages.append(name)
-        report.artifacts.extend(artifacts)
-        if name == "evaluate":
+            raise RuntimeError(f"stage {stage.name} failed: {exc}") from exc
+        report.timings[stage.name] = time.perf_counter() - start
+        report.stages.append(stage.name)
+        for file in stage.writes:
+            report.artifacts += [ROC_FILE.format(m) for m in _evaluated(cfg)] if file == ROC_FILE else [file]
+        if stage.name == "evaluate":
             report.headline = result
-        print(f"[{name}] {report.timings[name]:.2f}s")
+        print(f"[{stage.name}] {report.timings[stage.name]:.2f}s")
     out = _workpath(cfg, RUN_REPORT_FILE)
     write_text(out, report.to_json())
     print(f"wrote {out}")
@@ -541,54 +563,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synthetic refractory-cohort pipeline: generation, cohorting, "
         "featurization, reduction, clustering, classification, evaluation.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key = value config file")
+    common.add_argument("--seed", type=int, help="override the config seed")
+    common.add_argument("--workdir", help="artifact directory (default '.')")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--workdir", help="artifact directory (default '.')")
-        return p
-
-    synth_p = add("synth", "generate a synthetic event stream")
-    synth_p.add_argument("--out", required=True, help="destination events CSV")
-    add("cohort", "index, label, and subsample patients from events.csv")
-    add("featurize", "build the pre-index count matrix for the cohort")
-    add("reduce", "fit the configured reducer and write the embedding")
-    add("cluster-sweep", "run the reduction x clustering grid against labels")
-    train_p = add("train", "fit the configured classifier on the embedding")
-    train_p.add_argument(
-        "--sweep",
-        action="store_true",
-        help="emit CV accuracy tables over the alpha and depth grids instead",
+    parsers = {stage.name: sub.add_parser(stage.name, help=stage.help, parents=[common]) for stage in STAGES}
+    parsers["synth"].add_argument("--out", type=Path, required=True, help="destination events CSV")
+    parsers["train"].add_argument(
+        "--sweep", action="store_true", help="emit CV accuracy tables over the alpha and depth grids instead"
     )
-    add("evaluate", "cross-validate every estimator; write ROC/AUC/CV artifacts")
-    add("run-all", "execute the full chain and write a run report")
+    sub.add_parser("run-all", help="execute the full chain and write a run report", parents=[common])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command, config = args.pop("command"), args.pop("config")
+    overrides = {"seed": args.pop("seed"), "workdir": args.pop("workdir")}
     try:
-        file_values = load_config(args.config) if args.config else {}
-        cfg = build_config(file_values, {"seed": args.seed, "workdir": args.workdir})
+        cfg = build_config(load_config(config) if config else {}, overrides)
         Path(cfg.workdir).mkdir(parents=True, exist_ok=True)
-        if args.command == "synth":
-            cmd_synth(cfg, Path(args.out))
-        elif args.command == "cohort":
-            cmd_cohort(cfg)
-        elif args.command == "featurize":
-            cmd_featurize(cfg)
-        elif args.command == "reduce":
-            cmd_reduce(cfg)
-        elif args.command == "cluster-sweep":
-            cmd_cluster_sweep(cfg)
-        elif args.command == "train":
-            cmd_train(cfg, sweep=args.sweep)
-        elif args.command == "evaluate":
-            cmd_evaluate(cfg)
-        else:
+        if command == "run-all":
             cmd_run_all(cfg)
+        else:  # what is left in args are the subcommand's own flags
+            next(stage for stage in STAGES if stage.name == command).run(cfg, **args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CapacityError, ParseError
 from .events import EVENT_KINDS, EventTable
-from .tables import check_unique_ids, read_table, write_table
+from .tables import check_unique_ids, fits_int64, read_table, write_table
 
 CASE = "CASE"
 CONTROL = "CONTROL"
@@ -131,8 +131,8 @@ def read_cohort(path: str | Path, sampling_seed: int = 0) -> LabeledCohort:
         pid, day_field, label = line.split(",")
         if label not in (CASE, CONTROL):
             raise ParseError(lineno, f"unknown label {label!r}")
-        if not (day_field.isascii() and day_field.isdigit()):
-            raise ParseError(lineno, f"index_day must be a non-negative integer, got {day_field!r}")
+        if not fits_int64(day_field):
+            raise ParseError(lineno, f"index_day must be a non-negative 64-bit integer, got {day_field!r}")
         patients.append(LabeledPatient(pid, int(day_field), label))
     check_unique_ids([p.patient_id for p in patients])
     return LabeledCohort(tuple(patients), sampling_seed=sampling_seed)

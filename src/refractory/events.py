@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ParseError
-from .tables import encode, first_invalid, read_table, write_table
+from .tables import INT64_MAX, encode, encode_into, first_invalid, fits_int64, read_table, write_table
 
 # The four kinds a record may carry. AED_FAILURE marks the failure of an
 # anti-epileptic drug course; the other three are ordinary clinical events.
@@ -30,7 +30,7 @@ _KIND_INDEX = {kind: i for i, kind in enumerate(EVENT_KINDS)}
 EVENTS_HEADER = "patient_id,event_kind,code,day"
 
 # A table stores days as int64.
-MAX_DAY = int(np.iinfo(np.int64).max)
+MAX_DAY = INT64_MAX
 
 # Body rows read_events splits at a time; the cell strings of one block of
 # rows are alive at once, not those of the whole file.
@@ -220,10 +220,6 @@ class EventTable:
         return [self.ids[i] for i in dict.fromkeys(self.patient.tolist())]
 
 
-def _is_day(field: str) -> bool:
-    return field.isascii() and field.isdigit() and int(field) <= MAX_DAY
-
-
 def _row_error(pid: str, kind: str, code: str, day_field: str) -> str:
     if not (day_field.isascii() and day_field.isdigit()):
         return f"day must be a non-negative integer, got {day_field!r}"
@@ -232,14 +228,6 @@ def _row_error(pid: str, kind: str, code: str, day_field: str) -> str:
     except ValueError as exc:
         return str(exc)
     raise AssertionError("row passed the record checks")
-
-
-def _encode_block(position: dict[str, int], values: list[str]) -> np.ndarray:
-    """Each value's index in `position`, which first takes the values it has
-    not seen, in order of first appearance."""
-    fresh = [name for name in dict.fromkeys(values) if name not in position]
-    position.update(zip(fresh, range(len(position), len(position) + len(fresh))))
-    return np.fromiter(map(position.__getitem__, values), dtype=np.int64, count=len(values))
 
 
 def read_events(path: str | Path) -> EventTable:
@@ -257,10 +245,10 @@ def read_events(path: str | Path) -> EventTable:
         cells = ",".join(lines[start:start + _PARSE_BLOCK]).split(",")
         stop = start + len(cells) // 4
         for i, (position, index) in enumerate(zip(positions, indices)):
-            index[start:stop] = _encode_block(position, cells[i::4])
+            index[start:stop] = encode_into(position, cells[i::4])
     del lines
     columns = [(list(position), index) for position, index in zip(positions, indices)]
-    checks = (_is_name, _KIND_INDEX.__contains__, _is_name, _is_day)
+    checks = (_is_name, _KIND_INDEX.__contains__, _is_name, fits_int64)
     bad = [first_invalid(names, index, valid) for (names, index), valid in zip(columns, checks)]
     first = min((row for row in bad if row is not None), default=None)
     if first is not None:

@@ -16,11 +16,7 @@ import numpy as np
 from .cohort import CASE, CONTROL, LabeledCohort, PatientTimeline, pre_index_events
 from .errors import ParseError
 from .events import _KIND_INDEX, EVENT_KINDS, EventRecord, EventTable
-from .tables import check_unique_ids, encode, first_invalid, read_table, write_table
-
-
-def _is_count(cell: str) -> bool:
-    return cell.isascii() and cell.isdigit() and int(cell) <= np.iinfo(np.int64).max
+from .tables import check_unique_ids, encode, first_invalid, fits_int64, read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -160,10 +156,10 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
     label_names, label_index = encode(labels or [])
     count_names, count_index = encode(cells[:, first_col:].ravel().tolist())
     bad_label = first_invalid(label_names, label_index, (CASE, CONTROL).__contains__)
-    bad_count = first_invalid(count_names, count_index, _is_count)
+    bad_count = first_invalid(count_names, count_index, fits_int64)
     if bad_count is not None and (bad_label is None or bad_count // len(keys) < bad_label):
         cell = count_names[count_index[bad_count]]
-        raise ParseError(bad_count // len(keys) + 2, f"counts must be non-negative integers, got {cell!r}")
+        raise ParseError(bad_count // len(keys) + 2, f"counts must be non-negative 64-bit integers, got {cell!r}")
     if bad_label is not None:
         raise ParseError(bad_label + 2, f"unknown label {label_names[label_index[bad_label]]!r}")
     values = np.array([int(cell) for cell in count_names], dtype=np.int64)[count_index]

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ParseError
 
 FLOAT_FORMAT = "%.17g"
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -65,12 +66,25 @@ def read_table(path: str | Path, header: str | None = None) -> tuple[list[str], 
     return names, body
 
 
+def encode_into(position: dict[str, int], values: Sequence[str]) -> np.ndarray:
+    """Each value's index in `position`, which first takes the values it has
+    not seen, in order of first appearance; a column read in blocks shares one."""
+    fresh = [name for name in dict.fromkeys(values) if name not in position]
+    position.update(zip(fresh, range(len(position), len(position) + len(fresh))))
+    return np.fromiter(map(position.__getitem__, values), dtype=np.int64, count=len(values))
+
+
 def encode(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
     """Dictionary-encode a column: its distinct values in order of first
     appearance, and each value's index among them."""
-    names = list(dict.fromkeys(values))
-    position = dict(zip(names, range(len(names))))
-    return names, np.fromiter(map(position.__getitem__, values), dtype=np.int64, count=len(values))
+    position: dict[str, int] = {}
+    index = encode_into(position, values)
+    return list(position), index
+
+
+def fits_int64(cell: str) -> bool:
+    """Whether a cell is a non-negative decimal integer that fits int64."""
+    return cell.isascii() and cell.isdigit() and int(cell) <= INT64_MAX
 
 
 def first_invalid(names: list[str], index: np.ndarray, valid: Callable[[str], bool]) -> int | None:

@@ -25,7 +25,9 @@ from refractory.cli import (
     load_config,
     main,
 )
+from refractory.cohort import build_timelines, label_timelines, read_cohort
 from refractory.errors import ParseError
+from refractory.events import read_events
 from refractory.featurize import read_matrix
 from refractory.reduce import KernelSpec, fit_reducer, read_embedding
 from refractory.synth import GeneratorConfig
@@ -179,6 +181,78 @@ def test_missing_upstream_artifact_names_producer(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "events.csv" in err
     assert "synth" in err
+
+
+@pytest.mark.parametrize(
+    "command, present, missing, producer",
+    [
+        ("cohort", [], EVENTS_FILE, "synth"),
+        ("featurize", [], EVENTS_FILE, "synth"),
+        ("featurize", [EVENTS_FILE], COHORT_FILE, "cohort"),
+        ("reduce", [], FEATURES_FILE, "featurize"),
+        ("cluster-sweep", [], FEATURES_FILE, "featurize"),
+        ("train", [], EMBEDDING_FILE, "reduce"),
+        ("train", [EMBEDDING_FILE], COHORT_FILE, "cohort"),
+        ("evaluate", [], EMBEDDING_FILE, "reduce"),
+        ("evaluate", [EMBEDDING_FILE], COHORT_FILE, "cohort"),
+    ],
+)
+def test_every_missing_input_names_its_file_and_producer(tmp_path, capsys, command, present, missing, producer):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    for name in present:  # only their existence is checked before the missing file
+        (workdir / name).write_text("")
+    assert main([command, "--workdir", str(workdir)]) == 1
+    err = capsys.readouterr().err
+    assert f"{workdir / missing} not found; run the {producer} subcommand first" in err
+
+
+def _synth_and_cohort(tmp_path):
+    workdir = tmp_path / "w"
+    cfg_path = _write_smoke_config(tmp_path, workdir)
+    assert main(["synth", "--config", cfg_path, "--out", str(workdir / EVENTS_FILE)]) == 0
+    assert main(["cohort", "--config", cfg_path]) == 0
+    return workdir, cfg_path
+
+
+def test_cohort_index_day_beyond_int64_fails_at_its_line(tmp_path, capsys):
+    workdir, cfg_path = _synth_and_cohort(tmp_path)
+    path = workdir / COHORT_FILE
+    header, *rows = path.read_text().splitlines()
+    pid, _, label = rows[1].split(",")
+    rows[1] = f"{pid},{2**63 - 1},{label}"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    assert read_cohort(path).patients[1].index_day == 2**63 - 1
+    rows[1] = f"{pid},{2**63},{label}"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_cohort(path)
+    assert err.value.line == 3
+    assert "64-bit" in str(err.value) and str(2**63) in str(err.value)
+    assert main(["featurize", "--config", cfg_path]) == 1
+    assert "line 3" in capsys.readouterr().err
+    assert not (workdir / FEATURES_FILE).exists()
+
+
+def test_featurize_rejects_a_cohort_from_other_events(tmp_path, capsys):
+    workdir, cfg_path = _synth_and_cohort(tmp_path)
+    assert main(["synth", "--config", cfg_path, "--seed", "4", "--out", str(workdir / EVENTS_FILE)]) == 0
+    fresh = {p.patient_id: p for p in label_timelines(build_timelines(read_events(workdir / EVENTS_FILE)))}
+    cohort = read_cohort(workdir / COHORT_FILE).patients
+    stale = [p for p in cohort if fresh.get(p.patient_id) != p]
+    assert stale, "the second seed must move some index day or label"
+    assert main(["featurize", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert repr(stale[0].patient_id) in err and f"index_day={stale[0].index_day}" in err
+    assert not (workdir / FEATURES_FILE).exists()
+
+
+def test_featurize_rejects_a_cohort_patient_without_events(tmp_path, capsys):
+    workdir, cfg_path = _synth_and_cohort(tmp_path)
+    with open(workdir / COHORT_FILE, "a") as cohort:
+        cohort.write("ghost,5,CONTROL\n")
+    assert main(["featurize", "--config", cfg_path]) == 1
+    assert "'ghost'" in capsys.readouterr().err
 
 
 def test_bad_config_path_returns_one(tmp_path, capsys):

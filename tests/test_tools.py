@@ -113,3 +113,9 @@ def test_stages_run_ends_in_gbdt_train_and_evaluate(tmp_path):
     cfg = cli.build_config(cli.load_config(root / "stages.cfg"))
     assert cfg.n_case == cfg.n_control == 1000
     assert cli._evaluated(cfg) == ("GBDT",)
+
+
+def test_byte_gate_runs_every_subcommand(tmp_path):
+    # A stage added to the CLI's table cannot go uncompared.
+    run = {argv[0] for argv in artifact_diff.commands(tmp_path, tmp_path / "work")}
+    assert {stage.name for stage in cli.STAGES} | {"run-all"} <= run
