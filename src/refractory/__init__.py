@@ -93,14 +93,6 @@ from .reduce import (
     write_embedding,
 )
 from .synth import GeneratorConfig, generate_events
-from .tree import (
-    ENTROPY,
-    VARIANCE,
-    TreeNode,
-    accumulate_importance,
-    fit_tree,
-    predict_tree,
-    tree_depth,
-)
+from .tree import TreeNode, accumulate_importance, fit_tree, predict_tree, tree_depth
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ the logistic of an uncalibrated margin, and documented as such).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -48,14 +49,15 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.method not in CLASSIFIERS:
             raise ValueError(f"unknown classifier {self.method!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.max_depth < 0 or self.n_stages < 1 or self.max_iter < 1:
-            raise ValueError("max_depth, n_stages and max_iter must be sensible")
-        if self.l2 <= 0 or self.svm_reg <= 0:
-            raise ValueError("l2 and svm_reg must be positive")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        for name, least in (("max_depth", 0), ("n_stages", 1), ("max_iter", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name}={getattr(self, name)} must be at least {least}")
+        if not math.isfinite(self.tol):
+            raise ValueError(f"tol={self.tol} must be finite")
+        for name in ("learning_rate", "l2", "svm_reg", "gamma"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name}={value} must be positive and finite")
 
 
 @dataclass
@@ -115,7 +117,7 @@ def fit_classifier(spec: ClassifierSpec, X, y) -> TrainedClassifier:
     if spec.method == LOGREG:
         return _fit_logreg(spec, X, y)
     if spec.method == TREE:
-        root = tree_mod.fit_tree(X, y, criterion=tree_mod.ENTROPY, max_depth=spec.max_depth)
+        root = tree_mod.fit_tree(X, y, max_depth=spec.max_depth)
         return TrainedClassifier(TREE, spec, X.shape[1], root=root)
     if spec.method == ADABOOST:
         return _fit_adaboost(spec, X, y)
@@ -218,9 +220,7 @@ def _fit_adaboost(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray) -> Trained
     y_signed = 2.0 * y - 1.0
     model = TrainedClassifier(ADABOOST, spec, X.shape[1])
     for _ in range(spec.n_stages):
-        stump = tree_mod.fit_tree(
-            X, y, criterion=tree_mod.ENTROPY, max_depth=1, sample_weight=w
-        )
+        stump = tree_mod.fit_tree(X, y, max_depth=1, sample_weight=w)
         pred = np.where(tree_mod.predict_tree(stump, X) >= 0.5, 1.0, -1.0)
         err = float(w[pred != y_signed].sum() / w.sum())
         if err >= 0.5:

@@ -371,6 +371,10 @@ def _load_xy(cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
         y = np.asarray([y_of[pid] for pid in embedding.row_ids])
     except KeyError as exc:
         raise ValueError(f"embedding row {exc} is not in the cohort") from None
+    if len(y) < len(y_of):  # both id lists are unique, so some cohort patient has no row
+        rows = set(embedding.row_ids)
+        missing = next(pid for pid in y_of if pid not in rows)
+        raise ValueError(f"cohort patient {missing!r} is not in the embedding")
     return embedding.values, y
 
 

@@ -7,6 +7,7 @@ workhorse; PCA is its linear-kernel special case, equal up to column signs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -41,8 +42,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in (LINEAR, RBF):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma={self.gamma} must be positive and finite")
 
 
 def kernel_gram(X: np.ndarray, Y: np.ndarray | None, spec: KernelSpec, gamma: float) -> np.ndarray:

@@ -27,6 +27,7 @@ survive the pre-index feature cut unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,12 +78,12 @@ class GeneratorConfig:
         if self.n_signal_codes > self.n_codes:
             raise ValueError("n_signal_codes cannot exceed n_codes")
         lo, hi = self.shell_radii
-        if lo <= 0 or hi <= 0:
-            raise ValueError("shell radii must be positive")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo > 0 and hi > 0):
+            raise ValueError(f"shell_radii={self.shell_radii} must be positive and finite")
         if lo == hi:
-            raise ValueError("shell radii must be distinct")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be non-negative")
+            raise ValueError(f"shell_radii={self.shell_radii} must be distinct")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ValueError(f"noise_scale={self.noise_scale} must be non-negative and finite")
 
     def code_names(self) -> list[str]:
         width = max(4, len(str(self.n_codes - 1)))

@@ -1,4 +1,4 @@
-"""Binary CART trees: exhaustive midpoint splits, entropy or variance.
+"""Binary CART trees: exhaustive midpoint entropy splits, binned regression.
 
 Candidate thresholds are midpoints between consecutive distinct sorted
 values of each feature, or the lower value where the midpoint rounds up to
@@ -20,12 +20,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-ENTROPY = "entropy"
-VARIANCE = "variance"
 
 _TINY = 1e-12
 # Bins per feature for fit_binned_tree. 32 lost GBDT accuracy on the paper's
@@ -62,20 +58,15 @@ def fit_tree(
     X: np.ndarray,
     y: np.ndarray,
     *,
-    criterion: str = ENTROPY,
     max_depth: int = 5,
     sample_weight: np.ndarray | None = None,
-    leaf_value: Callable[[np.ndarray], float] | None = None,
 ) -> TreeNode:
-    """Grow a tree on (X, y), one node at a time in breadth-first order.
+    """Grow an entropy tree on (X, y), one node at a time in breadth-first order.
 
-    y is binary {0, 1} for the entropy criterion and real-valued for the
-    variance criterion. leaf_value, when given, receives the ascending row
-    indices of each node, nodes in breadth-first order, and overrides the
-    default leaf statistic (weighted positive fraction for entropy, weighted
-    mean for variance). A node stays a leaf at max_depth, below two rows, at
-    impurity at most _TINY, or when no boundary between distinct values
-    leaves positive weight on both sides.
+    y is binary {0, 1}, and each node's value is its weighted positive
+    fraction. A node stays a leaf at max_depth, below two rows, at entropy
+    at most _TINY, or when no boundary between distinct values leaves
+    positive weight on both sides.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -83,9 +74,7 @@ def fit_tree(
         raise ValueError("X must be (n, d) and y must be (n,)")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("X and y must be finite")
-    if criterion not in (ENTROPY, VARIANCE):
-        raise ValueError(f"unknown criterion {criterion!r}")
-    if criterion == ENTROPY and not ((y == 0.0) | (y == 1.0)).all():
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("entropy targets must be 0 or 1")
     if max_depth < 0:
         raise ValueError("max_depth must be non-negative")
@@ -94,9 +83,8 @@ def fit_tree(
         raise ValueError("sample_weight must be finite and non-negative with positive total")
 
     wy = w * y
-    # The prefix sums that score a split: weight, weighted target and, for
-    # the variance criterion, weighted squared target.
-    stats = np.stack((w, wy) if criterion == ENTROPY else (w, wy, wy * y))
+    # The prefix sums that score a split: weight and weighted target.
+    stats = np.stack((w, wy))
     positive = None if (w > 0).all() else w > 0
     Xt = np.ascontiguousarray(X.T)
     # Each feature's rows by (value, row index). The default sort is not
@@ -115,21 +103,17 @@ def fit_tree(
         # A node's sums run over its own rows in row order.
         total = float(_sum(w[rows]))
         mean = float(_sum(wy[rows])) / total
-        value = mean if leaf_value is None else leaf_value(rows)
-        node = TreeNode(value=value, n_samples=len(rows), weight=total)
+        node = TreeNode(value=mean, n_samples=len(rows), weight=total)
         if up is None:
             root = node
         else:
             setattr(up, side, node)
         if order is None or depth == max_depth:
             continue
-        if criterion == ENTROPY:
-            impurity = _entropy_of(mean)
-        else:
-            impurity = _sum(w[rows] * (y[rows] - mean) ** 2) / total
+        impurity = _entropy_of(mean)
         if impurity <= _TINY:
             continue
-        found = _best_split(Xt, stats, positive, order, total, impurity, criterion)
+        found = _best_split(Xt, stats, positive, order, total, impurity)
         if found is None:
             continue
         node.feature, node.threshold, gain = found
@@ -150,7 +134,6 @@ def _best_split(
     order: np.ndarray,
     total: float,
     impurity: float,
-    criterion: str,
 ) -> tuple[int, float, float] | None:
     """Score every boundary between distinct values of one node.
 
@@ -163,11 +146,7 @@ def _best_split(
     wl, yl = cum[0], cum[1]
     wr, yr = total - wl, yl[:, -1:] - yl
     safe_wl, safe_wr = np.maximum(wl, _TINY), np.maximum(wr, _TINY)
-    if criterion == ENTROPY:
-        child = (wl * _entropy_of(yl / safe_wl) + wr * _entropy_of(yr / safe_wr)) / total
-    else:
-        y2l, y2r = cum[2], cum[2, :, -1:] - cum[2]
-        child = ((y2l - yl * yl / safe_wl) + (y2r - yr * yr / safe_wr)) / total
+    child = (wl * _entropy_of(yl / safe_wl) + wr * _entropy_of(yr / safe_wr)) / total
 
     valid = np.zeros(order.shape, dtype=bool)
     np.greater(sv[:, 1:], sv[:, :-1], out=valid[:, :-1])

@@ -116,6 +116,29 @@ def test_build_config_value_errors_name_their_key(key, raw):
         build_config({key: raw})
 
 
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("noise_scale", "nan"),
+        ("noise_scale", "inf"),
+        ("shell_radii", "1, nan"),
+        ("shell_radii", "inf, 5"),
+        ("learning_rate", "nan"),
+        ("svm_reg", "nan"),
+        ("l2", "inf"),
+        ("classifier_gamma", "inf"),
+        ("gamma", "nan"),
+        ("max_depth", "-1"),
+        ("n_stages", "0"),
+        ("max_iter", "0"),
+    ],
+)
+def test_build_config_rejects_a_bad_value_naming_its_field(key, raw):
+    # The message names the key and then gives the rejected value as field=value.
+    with pytest.raises(ValueError, match=rf"\b{key}\b.*="):
+        build_config({key: raw})
+
+
 def test_overrides_beat_file_values():
     cfg = build_config({"seed": "1", "workdir": "a"}, {"seed": 7, "workdir": None})
     assert cfg.seed == 7
@@ -395,6 +418,21 @@ def test_bad_seed_or_generator_value_leaves_the_sweep_untouched(finished_run, tm
     assert (workdir / SWEEP_FILE).read_bytes() == before
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_embedding_missing_cohort_patients_fails_naming_the_first(finished_run, tmp_path, capsys, command):
+    workdir, _ = finished_run
+    other = tmp_path / "w"
+    shutil.copytree(workdir, other)
+    lines = (other / EMBEDDING_FILE).read_text().splitlines(keepends=True)
+    (other / EMBEDDING_FILE).write_text("".join(lines[:-20]))
+    kept = {line.split(",")[0] for line in lines[1:-20]}
+    missing = next(p.patient_id for p in read_cohort(other / COHORT_FILE).patients if p.patient_id not in kept)
+    outputs = {name: (other / name).read_bytes() for name in (MODEL_FILE, AUC_TABLE_FILE, CV_REPORT_FILE)}
+    assert main([command, "--config", _write_smoke_config(tmp_path, other)]) == 1
+    assert f"cohort patient {missing!r} is not in the embedding" in capsys.readouterr().err
+    assert {name: (other / name).read_bytes() for name in outputs} == outputs
+
+
 def test_stagewise_subcommands_chain(tmp_path):
     workdir = tmp_path / "w"
     cfg_path = _write_smoke_config(tmp_path, workdir)
@@ -459,6 +497,15 @@ def test_evaluate_adds_a_classifier_missing_from_estimators(tmp_path):
         "gamma_grid = 0.01, 0.01",
         "reduce_method = PCA\nkernel = POLY",
         "reduce_method = ISOMAP\ngamma = -1",
+        "classifier_gamma = inf",
+        "svm_reg = nan",
+        "learning_rate = nan",
+        "l2 = inf",
+        "gamma = nan",
+        "noise_scale = nan",
+        "shell_radii = 1, nan",
+        "alpha_grid = 0.25, nan",
+        "gamma_grid = inf",
     ],
 )
 def test_bad_config_fails_before_any_stage(tmp_path, capsys, settings):
